@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .ordfield import (
-    DEFAULT_MAX_STEPS, Exhausted, ExpansionBudgetError, FieldDescriptor,
-    FieldElement, FieldMismatchError, InSubfield, Obstructed, approx_analysis,
-    lift,
+    DEFAULT_MAX_STEPS, FieldDescriptor, FieldElement, FieldMismatchError,
+    Obstructed, lift, obstruction,
 )
 from .valgroup import (
     FinalSegment, GroupElem, InitialSegment, restrict_position, segment_above,
@@ -158,13 +157,7 @@ def between_ball(spec: CutComplementSpec,
     mask = R.embedding_mask_into(ambient)
     if mask is None:
         raise FieldMismatchError(f"{R.name} does not embed in {ambient.name}")
-    res = approx_analysis(a, R, max_steps)
-    if isinstance(res, InSubfield):
-        raise ValueError("filler already lies in the subfield; "
-                         "it fills no cut")
-    if isinstance(res, Exhausted):
-        raise ExpansionBudgetError(
-            "filler analysis undecided within the step budget")
+    res = obstruction(a, R, max_steps)
     dist = _filler_distance_values(res, R, ambient, mask)
     if dist.is_empty():
         raise ValueError("filler lies beyond the subfield; the complement "
@@ -204,10 +197,5 @@ def filler_distance_segment(spec: NonBallWithFiller,
     if mask is None:
         raise FieldMismatchError(
             f"{R.name} does not embed in {a.field.name}")
-    res = approx_analysis(a, R, max_steps)
-    if isinstance(res, InSubfield):
-        raise ValueError("element lies in the subfield; it fills no cut")
-    if isinstance(res, Exhausted):
-        raise ExpansionBudgetError(
-            "filler analysis undecided within the step budget")
+    res = obstruction(a, R, max_steps)
     return _filler_distance_values(res, R, a.field, mask)

@@ -59,7 +59,7 @@ from typing import Optional
 from .coeff import QuadExt
 from .valgroup import (
     LEX, LOWER, UPPER, WEIGHTED, FinalSegment, GroupCut, GroupElem,
-    ValueGroup, element_in_interval,
+    ValueGroup, element_in_interval, side_name,
 )
 from .ordfield import (
     DEFAULT_MAX_STEPS, ExpansionBudgetError, FieldDescriptor, FieldElement,
@@ -86,7 +86,6 @@ from .embed import (
     principal_preservation,
 )
 
-_SIDE_NAME = {LOWER: "lower", UPPER: "upper"}
 _SIDE_BY_NAME = {"lower": LOWER, "upper": UPPER}
 _ORDER_NAME = {-1: "LT", 0: "EQ", 1: "GT"}
 _RESERVED = frozenset({"t", "sqrt", "inf", "ball", "edge", "filler"})
@@ -505,21 +504,13 @@ def _cut_info(C: Cut) -> dict:
     return d
 
 
-def _place_info(p) -> dict:
-    return p.describe()
-
-
-def _value_str(v) -> str:
-    return str(v)
-
-
 def _classify_info(res) -> dict:
     out: dict = {"kind": res.kind}
     if res.kind == "principal":
-        out["side"] = _SIDE_NAME[res.side]
+        out["side"] = side_name(res.side)
         out["element"] = str(res.element)
     elif res.kind == "ball":
-        out["side"] = _SIDE_NAME[res.side]
+        out["side"] = side_name(res.side)
         out["ball"] = _ball_info(res.ball)
     elif res.kind == "non_ball":
         cert = res.certificate
@@ -529,7 +520,7 @@ def _classify_info(res) -> dict:
             "approximant": str(cert.approximant),
             "refutations": [
                 {"radius": r.radius.describe(),
-                 "side": _SIDE_NAME[r.side],
+                 "side": side_name(r.side),
                  "center": str(r.center),
                  "witness": str(r.witness)}
                 for r in cert.refutations],
@@ -565,6 +556,13 @@ def _mask(scan: _Scan) -> tuple:
             raise CliError("syntax", "mask entries are coordinate indices")
         out.append(int(q))
     return tuple(out)
+
+
+def _radicand(scan: _Scan) -> int:
+    try:
+        return int(scan.word())
+    except ValueError:
+        raise CliError("syntax", "sqrt needs an integer")
 
 
 def _cmd_def_field(sess: Session, scan: _Scan) -> dict:
@@ -605,12 +603,7 @@ def _cmd_def_field(sess: Session, scan: _Scan) -> dict:
     sess.fresh(name)
     if form == "hahn":
         ckind = scan.expect("rational", "sqrt")
-        d = None
-        if ckind == "sqrt":
-            try:
-                d = int(scan.word())
-            except ValueError:
-                raise CliError("syntax", "sqrt needs an integer")
+        d = _radicand(scan) if ckind == "sqrt" else None
         F = FieldDescriptor(name, d, _built_group(scan))
     elif form == "subfield":
         parent = sess.field(scan.word())
@@ -623,11 +616,7 @@ def _cmd_def_field(sess: Session, scan: _Scan) -> dict:
     elif form == "extend-coeff":
         parent = sess.field(scan.word())
         scan.expect("sqrt")
-        try:
-            d = int(scan.word())
-        except ValueError:
-            raise CliError("syntax", "sqrt needs an integer")
-        F = parent.extend_coeff(name, d)
+        F = parent.extend_coeff(name, _radicand(scan))
     elif form == "extend-group":
         parent = sess.field(scan.word())
         G = _built_group(scan)
@@ -639,43 +628,26 @@ def _cmd_def_field(sess: Session, scan: _Scan) -> dict:
     return _field_info(F)
 
 
-def _cmd_def_elem(sess: Session, scan: _Scan) -> dict:
-    name = scan.word()
-    scan.expect("in")
-    F = sess.field(scan.word())
-    scan.expect("=")
-    sess.fresh(name)
-    x = _parse_element(sess, F, scan.rest())
-    sess.elems[name] = x
-    out = _elem_info(x)
-    out["elem"] = name
-    return out
+def _definer(kind: str, parse, info):
+    """The command `def-<kind> <name> in <field> = <text>`: parse the text
+    in the field and store the value in the session's `<kind>s`."""
+    def define(sess: Session, scan: _Scan) -> dict:
+        name = scan.word()
+        scan.expect("in")
+        F = sess.field(scan.word())
+        scan.expect("=")
+        sess.fresh(name)
+        value = parse(sess, F, scan.rest())
+        getattr(sess, kind + "s")[name] = value
+        out = info(value)
+        out[kind] = name
+        return out
+    return define
 
 
-def _cmd_def_ball(sess: Session, scan: _Scan) -> dict:
-    name = scan.word()
-    scan.expect("in")
-    F = sess.field(scan.word())
-    scan.expect("=")
-    sess.fresh(name)
-    B = _parse_ball_literal(sess, F, scan.rest())
-    sess.balls[name] = B
-    out = _ball_info(B)
-    out["ball"] = name
-    return out
-
-
-def _cmd_def_cut(sess: Session, scan: _Scan) -> dict:
-    name = scan.word()
-    scan.expect("in")
-    F = sess.field(scan.word())
-    scan.expect("=")
-    sess.fresh(name)
-    C = _parse_cut(sess, F, scan.rest())
-    sess.cuts[name] = C
-    out = _cut_info(C)
-    out["cut"] = name
-    return out
+_cmd_def_elem = _definer("elem", _parse_element, _elem_info)
+_cmd_def_ball = _definer("ball", _parse_ball_literal, _ball_info)
+_cmd_def_cut = _definer("cut", _parse_cut, _cut_info)
 
 
 def _cmd_def_place(sess: Session, scan: _Scan) -> dict:
@@ -730,7 +702,7 @@ def _cmd_def_place(sess: Session, scan: _Scan) -> dict:
     else:
         raise CliError("syntax", f"unknown place form {form!r}")
     sess.places[name] = p
-    out = _place_info(p)
+    out = p.describe()
     out["place"] = name
     return out
 
@@ -738,18 +710,10 @@ def _cmd_def_place(sess: Session, scan: _Scan) -> dict:
 # -- query commands ----------------------------------------------------------------
 
 
-def _common(a: FieldElement, b: FieldElement):
-    if a.field is b.field:
-        return a, b
-    if a.field.embedding_mask_into(b.field) is not None:
-        return lift(a, b.field), b
-    return a, lift(b, a.field)
-
-
 def _cmd_cmp(sess: Session, scan: _Scan) -> dict:
     sub = scan.expect("elem", "exp", "cut", "side", "in")
     if sub == "elem":
-        a, b = _common(sess.elem(scan.word()), sess.elem(scan.word()))
+        a, b = sess.elem(scan.word()), sess.elem(scan.word())
         return {"order": _ORDER_NAME[a.cmp(b)]}
     if sub == "exp":
         G = sess.field(scan.word()).group
@@ -829,13 +793,16 @@ def _cmd_equiv(sess: Session, scan: _Scan) -> dict:
     return {"equivalent": equivalent(C1, C2)}
 
 
-def _maybe_bind(sess: Session, scan: _Scan, space: dict, value) -> Optional[str]:
-    if scan.done():
-        return None
-    scan.expect("as")
-    name = sess.fresh(scan.word())
-    space[name] = value
-    return name
+def _maybe_bind(sess: Session, scan: _Scan, space: dict, value,
+                info: dict) -> dict:
+    """Store value under the name of an optional trailing `as <name>`,
+    recorded as info["bound"]; returns info."""
+    if not scan.done():
+        scan.expect("as")
+        name = sess.fresh(scan.word())
+        space[name] = value
+        info["bound"] = name
+    return info
 
 
 def _cmd_restrict(sess: Session, scan: _Scan) -> dict:
@@ -845,24 +812,15 @@ def _cmd_restrict(sess: Session, scan: _Scan) -> dict:
         scan.expect("to")
         R = sess.field(scan.word())
         out = restrict(C, R, sess.max_steps)
-        info = _cut_info(out)
-        bound = _maybe_bind(sess, scan, sess.cuts, out)
-    else:
-        p = sess.rplace(scan.word())
-        mode = scan.expect("to", "cut")
-        if mode == "to":
-            variables = tuple(v.strip() for v in scan.word().split(","))
-            out = place_restrict(p, variables)
-            info = _place_info(out)
-            bound = _maybe_bind(sess, scan, sess.places, out)
-        else:
-            var = scan.word()
-            out = induced_cut(p, var, sess.max_steps)
-            info = _cut_info(out)
-            bound = _maybe_bind(sess, scan, sess.cuts, out)
-    if bound is not None:
-        info["bound"] = bound
-    return info
+        return _maybe_bind(sess, scan, sess.cuts, out, _cut_info(out))
+    p = sess.rplace(scan.word())
+    mode = scan.expect("to", "cut")
+    if mode == "to":
+        variables = tuple(v.strip() for v in scan.word().split(","))
+        out = place_restrict(p, variables)
+        return _maybe_bind(sess, scan, sess.places, out, out.describe())
+    out = induced_cut(p, scan.word(), sess.max_steps)
+    return _maybe_bind(sess, scan, sess.cuts, out, _cut_info(out))
 
 
 def _cmd_fiber(sess: Session, scan: _Scan) -> dict:
@@ -880,11 +838,7 @@ def _cmd_between(sess: Session, scan: _Scan) -> dict:
         ambient = sess.field(scan.word())
         out = between_ball(BallComplement(B), ambient=ambient,
                            max_steps=sess.max_steps)
-        info = _ball_info(out)
-        bound = _maybe_bind(sess, scan, sess.balls, out)
-        if bound is not None:
-            info["bound"] = bound
-        return info
+        return _maybe_bind(sess, scan, sess.balls, out, _ball_info(out))
     if sub == "filler":
         a = sess.elem(scan.word())
         scan.expect("over")
@@ -901,18 +855,11 @@ def _cmd_between(sess: Session, scan: _Scan) -> dict:
         out = between_ball(spec, ambient=ambient, max_steps=sess.max_steps)
         info = _ball_info(out)
         info["distances_below"] = seg.boundary.describe()
-        bound = _maybe_bind(sess, scan, sess.balls, out)
-        if bound is not None:
-            info["bound"] = bound
-        return info
+        return _maybe_bind(sess, scan, sess.balls, out, info)
     C1 = sess.cut(scan.word())
     C2 = sess.cut(scan.word())
     x = find_between(C1, C2, sess.max_steps)
-    info = _elem_info(x)
-    bound = _maybe_bind(sess, scan, sess.elems, x)
-    if bound is not None:
-        info["bound"] = bound
-    return info
+    return _maybe_bind(sess, scan, sess.elems, x, _elem_info(x))
 
 
 def _cmd_embed(sess: Session, scan: _Scan) -> dict:
@@ -936,20 +883,14 @@ def _cmd_embed(sess: Session, scan: _Scan) -> dict:
         scan.expect("into")
         F = sess.field(scan.word())
         out = iota_tilde(C, EmbeddingContext(R, F), sess.max_steps)
-        info = _cut_info(out)
-        bound = _maybe_bind(sess, scan, sess.cuts, out)
-    else:
-        p = sess.rplace(scan.word())
-        scan.expect("from")
-        R = sess.field(scan.word())
-        scan.expect("into")
-        F = sess.field(scan.word())
-        out = iota_place(p, EmbeddingContext(R, F), sess.max_steps)
-        info = _place_info(out)
-        bound = _maybe_bind(sess, scan, sess.places, out)
-    if bound is not None:
-        info["bound"] = bound
-    return info
+        return _maybe_bind(sess, scan, sess.cuts, out, _cut_info(out))
+    p = sess.rplace(scan.word())
+    scan.expect("from")
+    R = sess.field(scan.word())
+    scan.expect("into")
+    F = sess.field(scan.word())
+    out = iota_place(p, EmbeddingContext(R, F), sess.max_steps)
+    return _maybe_bind(sess, scan, sess.places, out, out.describe())
 
 
 def _cmd_witness(sess: Session, scan: _Scan) -> dict:

@@ -13,6 +13,25 @@ from typing import Optional, Union
 RatLike = Union[int, Fraction, "QuadExt"]
 
 
+class Ordered:
+    """Rich comparisons derived from a three-way `cmp(other)` returning
+    -1, 0 or 1; each comparison calls `cmp` exactly once."""
+
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        return self.cmp(other) < 0
+
+    def __le__(self, other) -> bool:
+        return self.cmp(other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return self.cmp(other) > 0
+
+    def __ge__(self, other) -> bool:
+        return self.cmp(other) >= 0
+
+
 def _is_squarefree(n: int) -> bool:
     if n < 2:
         return False
@@ -24,7 +43,7 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-class QuadExt:
+class QuadExt(Ordered):
     """A real number a + b*sqrt(d) with a, b rational.
 
     d is either None (plain rational, b must be 0) or a squarefree integer
@@ -167,18 +186,6 @@ class QuadExt:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
-
-    def __lt__(self, other: RatLike) -> bool:
-        return self.cmp(other) < 0
-
-    def __le__(self, other: RatLike) -> bool:
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other: RatLike) -> bool:
-        return self.cmp(other) > 0
-
-    def __ge__(self, other: RatLike) -> bool:
-        return self.cmp(other) >= 0
 
     def __abs__(self) -> "QuadExt":
         return -self if self.sign() < 0 else self

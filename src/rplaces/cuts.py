@@ -22,14 +22,14 @@ from .balls import (
 )
 from .coeff import QuadExt, rational_between
 from .ordfield import (
-    DEFAULT_MAX_STEPS, Exhausted, ExpansionBudgetError, FieldDescriptor,
-    FieldElement, FieldMismatchError, InSubfield, Obstructed,
-    approx_analysis, lift,
+    DEFAULT_MAX_STEPS, ExpansionBudgetError, FieldDescriptor, FieldElement,
+    FieldMismatchError, Obstructed, approx_analysis, lift, obstruction,
+    settled_analysis,
 )
 from .valgroup import (
     LOWER, UPPER, FinalSegment, GroupElem, element_in_interval,
     embed_element, embed_position_max, embed_position_min, restrict_element,
-    restrict_position,
+    restrict_position, side_name,
 )
 
 BELOW = "below"
@@ -41,10 +41,6 @@ LT, EQ, GT = -1, 0, 1
 class CutComparisonError(Exception):
     """The comparison left the decidable fragment (unrelated extension
     fields, or an analysis budget ran out)."""
-
-
-def _side_name(side: int) -> str:
-    return "upper" if side == UPPER else "lower"
 
 
 def _rational_under(c: QuadExt) -> Fraction:
@@ -77,10 +73,10 @@ class Cut:
             return {"kind": self.kind}
         if self.kind == "edge":
             return {"kind": "edge", "ball": self.ball.describe(),
-                    "side": _side_name(self.side)}
+                    "side": side_name(self.side)}
         return {"kind": "filler", "element": str(self.g),
                 "extension": self.g.field.name,
-                "side": _side_name(self.side)}
+                "side": side_name(self.side)}
 
     def __repr__(self):
         if self.kind == "minus_inf":
@@ -122,16 +118,7 @@ def cut_filler(g: FieldElement, side: int, target: FieldDescriptor,
         raise ValueError("side must be LOWER or UPPER")
     if g.field is target:
         raise ValueError("filler element must come from a proper extension")
-    if target.embedding_mask_into(g.field) is None:
-        raise FieldMismatchError(
-            f"{target.name} does not embed in {g.field.name}")
-    res = approx_analysis(g, target, max_steps)
-    if isinstance(res, InSubfield):
-        raise ValueError("filler element lies in the target field")
-    if isinstance(res, Exhausted):
-        raise ExpansionBudgetError(
-            "cannot verify the filler leaves the target field within the "
-            "step budget")
+    obstruction(g, target, max_steps)  # g must leave the target field
     return Cut(target, "filler", side=side, g=g)
 
 
@@ -186,7 +173,7 @@ def _is_beyond(C: Cut, direction: int) -> bool:
     whole target field on the given side."""
     if C.kind != "filler":
         return False
-    res = _filler_analysis(C)
+    res = _filler_analysis(C.g, C.field)
     if res.obstruction != "exponent":
         return False
     mask = C.field.embedding_mask_into(C.g.field)
@@ -197,15 +184,14 @@ def _is_beyond(C: Cut, direction: int) -> bool:
     return res.coeff.sign() == direction
 
 
-def _filler_analysis(C: Cut, max_steps: int = DEFAULT_MAX_STEPS) -> Obstructed:
-    res = approx_analysis(C.g, C.field, max_steps)
-    if isinstance(res, InSubfield):
-        raise CutComparisonError(
-            "filler element collapsed into the target field")
-    if isinstance(res, Exhausted):
-        raise CutComparisonError(
-            "filler analysis exhausted its step budget; raise max_steps")
-    return res
+def _filler_analysis(g: FieldElement, F: FieldDescriptor,
+                     max_steps: int = DEFAULT_MAX_STEPS) -> Obstructed:
+    """obstruction(), with an exhausted budget reported as the comparison
+    leaving the decidable fragment."""
+    try:
+        return obstruction(g, F, max_steps)
+    except ExpansionBudgetError as exc:
+        raise CutComparisonError(str(exc)) from exc
 
 
 def _edge_pair_cmp(C1: Cut, C2: Cut) -> int:
@@ -259,20 +245,19 @@ def _edge_vs_filler(Ce: Cut, Cf: Cut) -> int:
     return LT if sigma > 0 else GT
 
 
-def _common_extension(x: FieldElement, y: FieldElement
-                      ) -> tuple[FieldElement, FieldElement]:
-    if x.field is y.field:
-        return x, y
-    if x.field.embedding_mask_into(y.field) is not None:
-        return lift(x, y.field), y
-    if y.field.embedding_mask_into(x.field) is not None:
-        return x, lift(y, x.field)
-    raise CutComparisonError(
-        f"extension fields {x.field.name} and {y.field.name} are unrelated")
+def _joined_generators(C1: Cut, C2: Cut
+                       ) -> tuple[FieldElement, FieldElement]:
+    """The generators of two filler cuts, lifted into the larger of their
+    extension fields."""
+    try:
+        G = C1.g.field.join(C2.g.field)
+    except FieldMismatchError as exc:
+        raise CutComparisonError(str(exc)) from exc
+    return lift(C1.g, G), lift(C2.g, G)
 
 
 def _filler_pair_cmp(C1: Cut, C2: Cut) -> int:
-    g1, g2 = _common_extension(C1.g, C2.g)
+    g1, g2 = _joined_generators(C1, C2)
     d = g2 - g1
     if d.is_zero():
         return EQ
@@ -299,14 +284,7 @@ def _element_between_fillers(lo: FieldElement, hi: FieldElement,
     coefficient nudge at gamma0, or r* already falling inside.
     """
     delta = hi - lo
-    res = approx_analysis(lo, F, max_steps)
-    if isinstance(res, InSubfield):
-        x = res.approximant
-        ok = lift(x, lo.field).cmp(lo) > 0 and lift(x, hi.field).cmp(hi) < 0
-        return x if ok else None
-    if isinstance(res, Exhausted):
-        raise CutComparisonError(
-            "filler analysis exhausted its step budget; raise max_steps")
+    res = _filler_analysis(lo, F, max_steps)
     gamma0, c0, r_star = res.gamma0, res.coeff, res.approximant
     G = lo.field
     mask = F.embedding_mask_into(G)
@@ -375,7 +353,7 @@ def _filler_pair_ball(lo: Cut, hi: Cut) -> Optional[Ball]:
     """The ball whose edges the two strictly ordered filler cuts are, if
     one exists."""
     F = lo.field
-    g_lo, g_hi = _common_extension(lo.g, hi.g)
+    g_lo, g_hi = _joined_generators(lo, hi)
     m = _element_between_fillers(g_lo, g_hi, F)
     if m is None:
         return None
@@ -473,30 +451,28 @@ def classify(C: Cut, precision: GroupElem,
     else:
         raise ValueError("precision cutoff must live in the value group of "
                          "the cut's field or of the filler's field")
-    residual = C.g
-    approx = R.zero()
-    for _ in range(max_steps):
-        if residual.is_zero():
-            raise ValueError("filler element collapsed into the target "
-                             "field")
-        gamma = residual.val()
-        c = residual.leading_coeff()
-        if gamma.cmp(cutoff) > 0:
-            return UnknownResult(precision,
-                                 "no obstruction at or below the cutoff")
-        g_sub = restrict_element(gamma, mask, R.group)
-        if g_sub is None:
-            side = UPPER if c.sign() > 0 else LOWER
-            T = FinalSegment(restrict_position(G.group.above(gamma), mask,
-                                               R.group))
-            if T.is_empty():
-                return PrincipalResult(approx, side)
-            return BallCutResult(Ball(R, approx, T), side)
-        if not (c.d is None or c.d == R.coeff_d):
-            return NonBallResult(_non_ball_certificate(C, approx, g_sub, c))
-        approx = approx + R.monomial(g_sub, c)
-        residual = residual - G.monomial(gamma, c)
-    return UnknownResult(None, "term extraction exceeded the step budget")
+    past_cutoff = UnknownResult(precision,
+                                "no obstruction at or below the cutoff")
+    try:
+        res = obstruction(C.g, R, max_steps)
+    except ExpansionBudgetError as exc:
+        # the budget decides only if every extracted term met the cutoff
+        if exc.reached is not None and \
+                embed_element(exc.reached, mask, G.group).cmp(cutoff) > 0:
+            return past_cutoff
+        return UnknownResult(None, "term extraction exceeded the step budget")
+    gamma, c, approx = res.gamma0, res.coeff, res.approximant
+    if gamma.cmp(cutoff) > 0:
+        return past_cutoff
+    if res.obstruction == "exponent":
+        side = UPPER if c.sign() > 0 else LOWER
+        T = FinalSegment(restrict_position(G.group.above(gamma), mask,
+                                           R.group))
+        if T.is_empty():
+            return PrincipalResult(approx, side)
+        return BallCutResult(Ball(R, approx, T), side)
+    g_sub = restrict_element(gamma, mask, R.group)
+    return NonBallResult(_non_ball_certificate(C, approx, g_sub, c))
 
 
 def _non_ball_certificate(C: Cut, r_star: FieldElement, gamma0: GroupElem,
@@ -561,10 +537,7 @@ def restrict(C: Cut, R: FieldDescriptor,
     if C.kind == "filler":
         return Cut(R, "filler", side=C.side, g=C.g)
     B = C.ball
-    res = approx_analysis(B.center, R, max_steps)
-    if isinstance(res, Exhausted):
-        raise ExpansionBudgetError(
-            "center analysis exhausted its step budget; raise max_steps")
+    res = settled_analysis(B.center, R, max_steps)
     if isinstance(res, Obstructed) and not B.radius.contains(res.gamma0):
         # the ball misses R entirely; both edges trace the center's cut
         return Cut(R, "filler", side=C.side, g=B.center)
@@ -636,7 +609,7 @@ def _element_past(C: Cut, direction: int) -> FieldElement:
             return B.center + direction
         out = element_in_interval(F.group.minus_inf(), B.radius.boundary)
         return B.center + F.monomial(out, direction)
-    res = _filler_analysis(C)
+    res = _filler_analysis(C.g, C.field)
     r_star = res.approximant
     G = C.g.field
     mask = F.embedding_mask_into(G)
@@ -669,7 +642,7 @@ def cut_lt_witness(C1: Cut, C2: Cut,
         return _edge_filler_witness(C1, C2, below_filler=True)
     if C1.kind == "filler" and C2.kind == "edge":
         return _edge_filler_witness(C2, C1, below_filler=False)
-    g1, g2 = _common_extension(C1.g, C2.g)
+    g1, g2 = _joined_generators(C1, C2)
     x = _element_between_fillers(g1, g2, C1.field, max_steps)
     if x is None:
         raise AssertionError("strictly ordered filler cuts admitted no "

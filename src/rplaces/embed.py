@@ -19,9 +19,9 @@ from .valgroup import (LOWER, UPPER, FinalSegment, GroupElem, LEX,
                        convexity_witness, embed_element, embed_position_max,
                        is_cofinal, is_convex, restrict_element,
                        restrict_position, segment_above)
-from .ordfield import (DEFAULT_MAX_STEPS, Exhausted, ExpansionBudgetError,
-                       FieldDescriptor, FieldElement, FieldMismatchError,
-                       InSubfield, Obstructed, approx_analysis, lift)
+from .ordfield import (DEFAULT_MAX_STEPS, FieldDescriptor, FieldElement,
+                       FieldMismatchError, InSubfield, Obstructed,
+                       approx_analysis, lift, obstruction, settled_analysis)
 from .balls import Ball, NonBallWithFiller, between_ball
 from .cuts import (Cut, cut_cmp, cut_edge, cut_filler, cut_minus_inf,
                    cut_plus_inf, cut_principal, equivalent, side_of)
@@ -58,30 +58,20 @@ def embedding_exists(ctx: EmbeddingContext) -> bool:
     return ctx.convex
 
 
-def _common_extension_field(A: FieldDescriptor, B: FieldDescriptor):
-    if A.embedding_mask_into(B) is not None:
-        return B
-    above = set()
-    frontier = [A]
-    while frontier:
-        field = frontier.pop()
-        for sup, _ in field._ups:
-            if id(sup) not in above:
-                above.add(id(sup))
-                frontier.append(sup)
-    if B.embedding_mask_into(A) is not None:
-        return A
+def _host_field(A: FieldDescriptor, B: FieldDescriptor) -> FieldDescriptor:
+    """The nearest of B and its declared extensions that contains A."""
     frontier = [B]
     seen = {id(B)}
     while frontier:
         field = frontier.pop(0)
-        if id(field) in above:
+        if A.embedding_mask_into(field) is not None:
             return field
         for sup, _ in field._ups:
             if id(sup) not in seen:
                 seen.add(id(sup))
                 frontier.append(sup)
-    return None
+    raise FieldMismatchError(
+        f"no declared field contains both {A.name} and {B.name}")
 
 
 def _edge_image(B: Ball, side: int, ctx: EmbeddingContext) -> Cut:
@@ -124,12 +114,7 @@ def iota_tilde(C: Cut, ctx: EmbeddingContext,
         return _edge_image(C.ball, C.side, ctx)
 
     G = C.g.field
-    res = approx_analysis(C.g, ctx.R, max_steps)
-    if isinstance(res, Exhausted):
-        raise ExpansionBudgetError(
-            "filler analysis exceeded the step budget")
-    if isinstance(res, InSubfield):
-        raise ValueError("filler collapsed into the cut's own field")
+    res = obstruction(C.g, ctx.R, max_steps)
     if res.obstruction == "exponent":
         # the filler only ever leaves R through its exponents, so the cut
         # is a ball edge of R in disguise
@@ -139,15 +124,8 @@ def iota_tilde(C: Cut, ctx: EmbeddingContext,
         side = UPPER if res.coeff.sign() > 0 else LOWER
         return _edge_image(Ball(ctx.R, res.approximant, T), side, ctx)
 
-    host = _common_extension_field(G, F)
-    if host is None:
-        raise FieldMismatchError(
-            f"no declared field contains both {G.name} and {F.name}")
-    g = lift(C.g, host)
-    res_F = approx_analysis(g, F, max_steps)
-    if isinstance(res_F, Exhausted):
-        raise ExpansionBudgetError(
-            "filler analysis exceeded the step budget")
+    g = lift(C.g, _host_field(G, F))
+    res_F = settled_analysis(g, F, max_steps)
     if isinstance(res_F, InSubfield):
         filler = res_F.approximant
     elif res_F.obstruction == "exponent" and \

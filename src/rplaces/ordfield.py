@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .coeff import QuadExt, format_coeff
+from .coeff import Ordered, QuadExt, format_coeff
 from .valgroup import (
     LEX, GroupCut, GroupElem, ValueGroup, check_mask, embed_element,
     extend_at_position, restrict_element,
@@ -29,7 +29,14 @@ class FieldMismatchError(Exception):
 
 
 class ExpansionBudgetError(Exception):
-    """Term extraction exceeded its step budget before reaching the goal."""
+    """Term extraction exceeded its step budget before reaching the goal.
+
+    `reached` is the exponent of the last extracted term when the raiser
+    records it, else None."""
+
+    def __init__(self, message: str, reached: Optional[GroupElem] = None):
+        super().__init__(message)
+        self.reached = reached
 
 
 class _Infinity:
@@ -133,6 +140,18 @@ class FieldDescriptor:
                     frontier.append((sup, comp))
         return None
 
+    def join(self, other: "FieldDescriptor") -> "FieldDescriptor":
+        """The larger of two fields when a declared embedding chain leads
+        from one into the other."""
+        if other is self:
+            return self
+        if self.embedding_mask_into(other) is not None:
+            return other
+        if other.embedding_mask_into(self) is not None:
+            return self
+        raise FieldMismatchError(
+            f"no declared embedding relates {self.name} and {other.name}")
+
     def zero(self) -> "FieldElement":
         return self.const(0)
 
@@ -144,14 +163,14 @@ class FieldDescriptor:
         if not self.admits_coeff(c):
             raise ValueError(f"coefficient {c} outside the field {self.name}")
         return FieldElement(self, HahnSum.const(self.group, c),
-                            HahnSum.const(self.group, QuadExt(1)))
+                            HahnSum.one(self.group))
 
     def monomial(self, exponent: GroupElem, c=1) -> "FieldElement":
         c = QuadExt.of(c)
         if not self.admits_coeff(c):
             raise ValueError(f"coefficient {c} outside the field {self.name}")
         return FieldElement(self, HahnSum.monomial(self.group, exponent, c),
-                            HahnSum.const(self.group, QuadExt(1)))
+                            HahnSum.one(self.group))
 
 
 def _add_edge(sub: FieldDescriptor, sup: FieldDescriptor,
@@ -202,6 +221,10 @@ class HahnSum:
         if c.is_zero():
             return HahnSum.zero(group)
         return HahnSum(group, {(Fraction(0),) * group.rank: c})
+
+    @staticmethod
+    def one(group: ValueGroup) -> "HahnSum":
+        return HahnSum(group, {(Fraction(0),) * group.rank: QuadExt(1)})
 
     @staticmethod
     def monomial(group: ValueGroup, g: GroupElem, c: QuadExt) -> "HahnSum":
@@ -285,18 +308,10 @@ class HahnSum:
 def _cmp_key(group: ValueGroup):
     if group.kind == LEX:
         return lambda e: e.coords
-
-    class _K:
-        def __init__(self, e):
-            self.v = group.real_value(e)
-
-        def __lt__(self, other):
-            return self.v < other.v
-
-    return lambda e: _K(e)
+    return group.real_value
 
 
-class FieldElement:
+class FieldElement(Ordered):
     """num/den over a field descriptor, with den canonical: leading
     exponent 0 and leading coefficient 1 (so den > 0 always)."""
 
@@ -306,7 +321,7 @@ class FieldElement:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = HahnSum.const(field.group, QuadExt(1))
+            den = HahnSum.one(field.group)
         else:
             vd, cd = den.leading()
             if not vd.is_zero() or cd != QuadExt(1):
@@ -326,15 +341,8 @@ class FieldElement:
             raise TypeError(f"cannot combine with {type(other).__name__}")
         if other.field is self.field:
             return self, other
-        mask = self.field.embedding_mask_into(other.field)
-        if mask is not None:
-            return lift(self, other.field), other
-        mask = other.field.embedding_mask_into(self.field)
-        if mask is not None:
-            return self, lift(other, self.field)
-        raise FieldMismatchError(
-            f"no declared embedding relates {self.field.name} "
-            f"and {other.field.name}")
+        F = self.field.join(other.field)
+        return lift(self, F), lift(other, F)
 
     # -- ring/field operations ----------------------------------------------------
 
@@ -409,18 +417,6 @@ class FieldElement:
 
     def __hash__(self):
         raise TypeError("field elements are not hashable")
-
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -610,33 +606,54 @@ def approx_analysis(x: FieldElement, R: FieldDescriptor,
     residual = x
     for _ in range(max_steps):
         if residual.is_zero():
-            return InSubfield(FieldElement(
-                R, approx, HahnSum.const(R.group, QuadExt(1))))
+            return InSubfield(FieldElement(R, approx, HahnSum.one(R.group)))
         g, c = residual.num.leading()
         g_sub = restrict_element(g, mask, R.group)
-        r_star = FieldElement(R, approx, HahnSum.const(R.group, QuadExt(1)))
+        r_star = FieldElement(R, approx, HahnSum.one(R.group))
         if g_sub is None:
             return Obstructed("exponent", g, c, r_star)
         if not (c.d is None or c.d == R.coeff_d):
             return Obstructed("coefficient", g, c, r_star)
         approx = approx + HahnSum.monomial(R.group, g_sub, c)
         residual = residual - F.monomial(g, c)
+    r_star = FieldElement(R, approx, HahnSum.one(R.group))
     if residual.is_zero():
-        return InSubfield(FieldElement(
-            R, approx, HahnSum.const(R.group, QuadExt(1))))
-    return Exhausted(FieldElement(R, approx,
-                                  HahnSum.const(R.group, QuadExt(1))),
-                     max_steps)
+        return InSubfield(r_star)
+    return Exhausted(r_star, max_steps)
+
+
+def settled_analysis(x: FieldElement, R: FieldDescriptor,
+                     max_steps: int = DEFAULT_MAX_STEPS
+                     ) -> Union[InSubfield, Obstructed]:
+    """approx_analysis with an exhausted budget raised as
+    ExpansionBudgetError; its `reached` is the exponent, in R's group, of
+    the last term extracted."""
+    res = approx_analysis(x, R, max_steps)
+    if not isinstance(res, Exhausted):
+        return res
+    done = res.approximant.num.support()
+    reached = done[-1] if done else None
+    raise ExpansionBudgetError(
+        f"analysis over {R.name} extracted {len(done)} terms without "
+        f"leaving the subfield (last at exponent {reached}); "
+        "raise max_steps", reached)
+
+
+def obstruction(x: FieldElement, R: FieldDescriptor,
+                max_steps: int = DEFAULT_MAX_STEPS) -> Obstructed:
+    """The first term of x not expressible over R, with the best
+    R-approximant before it.  Raises ValueError when x lies in R and
+    ExpansionBudgetError when the budget runs out first."""
+    res = settled_analysis(x, R, max_steps)
+    if isinstance(res, InSubfield):
+        raise ValueError(f"the element lies in the subfield {R.name}; "
+                         "no term leaves it")
+    return res
 
 
 def element_in_subfield(x: FieldElement, R: FieldDescriptor,
                         max_steps: int = DEFAULT_MAX_STEPS
                         ) -> Optional[FieldElement]:
     """The element of R equal to x, if the analysis finds one."""
-    res = approx_analysis(x, R, max_steps)
-    if isinstance(res, InSubfield):
-        return res.approximant
-    if isinstance(res, Exhausted):
-        raise ExpansionBudgetError(
-            "subfield membership undecided within the step budget")
-    return None
+    res = settled_analysis(x, R, max_steps)
+    return res.approximant if isinstance(res, InSubfield) else None

@@ -23,8 +23,8 @@ from typing import Optional, Sequence, Union
 from .coeff import QuadExt
 from .valgroup import LOWER, UPPER, LEX, WEIGHTED, GroupElem, ValueGroup
 from .ordfield import (DEFAULT_MAX_STEPS, INF, Exhausted, FieldDescriptor,
-                       FieldElement, InSubfield, adjoin_infinitesimal,
-                       approx_analysis, lift)
+                       FieldElement, adjoin_infinitesimal, approx_analysis,
+                       lift, obstruction)
 from .ratfun import Poly, RatFun, format_ratfun
 from .cuts import (Cut, cut_cmp, cut_filler, cut_lt_witness, equivalent,
                    find_between)
@@ -328,13 +328,7 @@ def induced_cut(place: RPlace, var: str,
     if var not in place.realization:
         raise ValueError(f"place does not assign {var!r}")
     x = place.realization[var]
-    res = approx_analysis(x, place.base, max_steps)
-    if isinstance(res, InSubfield):
-        raise ValueError("the variable is sent to a base-field element; "
-                         "no proper cut is induced")
-    if isinstance(res, Exhausted):
-        raise ValueError("analysis budget exhausted before the realization "
-                         "left the base field; raise max_steps")
+    res = obstruction(x, place.base, max_steps)
     side = UPPER if res.coeff.sign() > 0 else LOWER
     return cut_filler(x, side, place.base, max_steps)
 

@@ -10,6 +10,7 @@ zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 from .coeff import QuadExt
@@ -147,7 +148,8 @@ class Poly:
         """Exact substitution; values may live in one extension field."""
         values = [assignment[v] for v in self.variables]
         if target is None:
-            target = _common_field(self.field, values)
+            target = reduce(FieldDescriptor.join, [v.field for v in values],
+                            self.field)
         values = [lift(v, target) for v in values]
         total = target.zero()
         for key, c in self.terms.items():
@@ -171,19 +173,6 @@ class Poly:
 
     def __repr__(self):
         return f"<poly {format_poly(self)}>"
-
-
-def _common_field(field: FieldDescriptor, values) -> FieldDescriptor:
-    target = field
-    for v in values:
-        if v.field is target:
-            continue
-        if target.embedding_mask_into(v.field) is not None:
-            target = v.field
-        elif v.field.embedding_mask_into(target) is None:
-            raise FieldMismatchError(
-                f"no common extension of {target.name} and {v.field.name}")
-    return target
 
 
 class RatFun:
@@ -278,9 +267,16 @@ class RatFun:
         return out
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFun):
+        """Equality of functions: fractions are not reduced, so compare
+        by cross-multiplication."""
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        elif not isinstance(other, RatFun):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if self.field is not other.field or \
+                self.variables != other.variables:
+            return False
+        return self.num * other.den == other.num * self.den
 
     def __hash__(self):
         raise TypeError("rational functions are not hashable")
@@ -293,8 +289,9 @@ class RatFun:
         if missing:
             raise ValueError(f"assignment misses {missing}")
         if target is None:
-            values = [assignment[v] for v in self.variables]
-            target = _common_field(self.field, values)
+            target = reduce(FieldDescriptor.join,
+                            [assignment[v].field for v in self.variables],
+                            self.field)
         bottom = self.den.evaluate(assignment, target)
         if bottom.is_zero():
             return POLE

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .coeff import QuadExt, rational_between
+from .coeff import Ordered, QuadExt, rational_between
 
 LOWER = -1
 UPPER = 1
@@ -33,7 +33,8 @@ WEIGHTED = "weighted"
 Q0 = Fraction(0)
 
 
-def _side_name(side: int) -> str:
+def side_name(side: int) -> str:
+    """'upper' for UPPER, 'lower' for LOWER."""
     return "upper" if side > 0 else "lower"
 
 
@@ -190,7 +191,7 @@ class ValueGroup:
 
 
 @dataclass(frozen=True)
-class GroupElem:
+class GroupElem(Ordered):
     group: ValueGroup
     coords: tuple
 
@@ -200,18 +201,6 @@ class GroupElem:
 
     def cmp(self, other: "GroupElem") -> int:
         return self.group.cmp(self, other)
-
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
 
     def __add__(self, other: "GroupElem") -> "GroupElem":
         self.group._own(other)
@@ -238,7 +227,7 @@ class GroupElem:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-class GroupCut:
+class GroupCut(Ordered):
     """A position in the order completion of the group.
 
     key encoding (lexicographic groups): a tuple of (coord, nudge) entries,
@@ -289,18 +278,6 @@ class GroupCut:
     def __hash__(self) -> int:
         return hash((self.kind, self.key))
 
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
-
     def side_of(self, g: GroupElem) -> int:
         """-1 if g is below this position, +1 above, 0 exactly at it."""
         return -self.cmp(self.group.at(g))
@@ -345,7 +322,7 @@ class GroupCut:
             if s == 0:
                 return {"kind": "element", **base}
             return {"kind": "above" if s > 0 else "below", **base}
-        return {"kind": "coset_edge", "side": _side_name(s),
+        return {"kind": "coset_edge", "side": side_name(s),
                 "fixed_coords": qs}
 
     def __repr__(self) -> str:

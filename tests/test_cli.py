@@ -2,6 +2,7 @@
 error codes, golden probe output, determinism, and a reachability table
 pinning one command per library operation."""
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -411,6 +412,15 @@ class TestErrorCodes:
         # a precondition failure, not an exhausted search
         assert code(session(), "witness separate C1 C2") == "domain"
 
+    def test_induced_cut_budget(self):
+        sess = Session(max_steps=2)
+        for line in ("def-field R = hahn rational lex 1",
+                     "def-field E eps = adjoin R above (5) +",
+                     "def-place P = realized over R in E "
+                     "y = 1 + t^((1,0)) + t^((2,0)) + t^((3,0)) + eps"):
+            ok(sess, line)
+        assert code(sess, "restrict place P cut y") == "budget"
+
 
 class TestGolden:
     def test_probe_output_matches_golden_file(self):
@@ -578,6 +588,18 @@ class TestMain:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert json.loads(lines[2])["result"] == {"valuation": "(0)"}
+
+    def test_readme_example(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        commands = re.findall(r"-c '([^']*)'", readme)
+        assert len(commands) == 3
+        argv = ["--json"]
+        for command in commands:
+            argv += ["-c", command]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert json.loads(lines[-1])["result"] == {"valuation": "(0)"}
 
     def test_script_file(self, tmp_path, capsys):
         script = tmp_path / "demo.rpl"

@@ -18,7 +18,7 @@ from rplaces.cuts import (
 )
 from rplaces.ordfield import (
     ExpansionBudgetError, FieldDescriptor, FieldMismatchError,
-    adjoin_infinitesimal, lift,
+    adjoin_infinitesimal, lift, obstruction,
 )
 from rplaces.valgroup import LEX, LOWER, UPPER, FinalSegment, ValueGroup
 
@@ -535,6 +535,54 @@ class TestClassify:
         res = classify(C, F.group.elem(2, 0), max_steps=3)
         assert res.kind == "unknown"
         assert res.reached is None
+
+    def test_agrees_with_shared_analysis(self):
+        """classify against obstruction() on filler cuts with a cutoff
+        below, at and above the obstruction, and with budgets smaller than
+        the number of terms in front of it."""
+        R, F, rt2 = sqrt2_pair()
+        t = F.monomial(F.group.elem(1))
+        coeff_case = (R, F, 1 + t + t * t + rt2 * t ** 3)
+        R2, F2 = tail_pair()
+        u = F2.monomial(F2.group.elem(0, 1))
+        s = F2.monomial(F2.group.elem(1, 0))
+        exp_case = (R2, F2, u + u * u - s)
+        for base, ext, g in (coeff_case, exp_case):
+            C = cut_filler(g, UPPER, base)
+            res = obstruction(g, base)
+            gamma0 = res.gamma0
+            below = ext.group.elem(*gamma0.coords[:-1],
+                                   gamma0.coords[-1] - Q(1, 2))
+            above = ext.group.elem(*gamma0.coords[:-1],
+                                   gamma0.coords[-1] + 1)
+            unknown = classify(C, below)
+            assert unknown.kind == "unknown" and unknown.reached == below
+            assert unknown.reason == "no obstruction at or below the cutoff"
+            for cutoff in (gamma0, above):
+                out = classify(C, cutoff)
+                if res.obstruction == "coefficient":
+                    assert out.kind == "non_ball"
+                    cert = out.certificate
+                    assert cert.coeff == res.coeff
+                    assert cert.approximant == res.approximant
+                    assert cert.gamma0 == base.group.elem(gamma0.coords)
+                else:
+                    assert out.kind == "principal"
+                    assert out.element == res.approximant
+                    assert out.side == (UPPER if res.coeff.sign() > 0
+                                        else LOWER)
+            # two terms precede each obstruction; with one step the budget
+            # runs out, and the cutoff decides which reason is reported
+            first = g.val()
+            budget = classify(C, above, max_steps=1)
+            assert budget.kind == "unknown" and budget.reached is None
+            assert budget.reason == "term extraction exceeded the step budget"
+            assert classify(C, first, max_steps=1).reached is None
+            under = ext.group.elem(*first.coords[:-1],
+                                   first.coords[-1] - 1)
+            early = classify(C, under, max_steps=2)
+            assert early.kind == "unknown" and early.reached == under
+            assert early.reason == "no obstruction at or below the cutoff"
 
     def test_foreign_precision_rejected(self):
         R, F, rt2 = sqrt2_pair()

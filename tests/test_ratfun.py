@@ -136,6 +136,17 @@ class TestRatFun:
         y = RatFun.var(R, ("y",), "y")
         assert (y + 1) ** -2 == 1 / ((y + 1) * (y + 1))
 
+    def test_equality_ignores_common_factors(self):
+        # fractions are never reduced, so equality must not compare the
+        # stored numerator and denominator
+        R = rational_field()
+        y = RatFun.var(R, ("y",), "y")
+        assert y == (y * y) / y
+        assert (y + 1) / (y + 1) == 1
+        assert (y * y - 1) / (y - 1) == y + 1
+        assert (y * y - 1) / (y - 1) != y - 1
+        assert y != RatFun.var(rational_field("S"), ("y",), "y")
+
 
 class TestEval:
     def test_square(self):
