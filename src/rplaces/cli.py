@@ -59,7 +59,7 @@ from typing import Optional
 from .coeff import QuadExt
 from .valgroup import (
     LEX, LOWER, UPPER, WEIGHTED, FinalSegment, GroupCut, GroupElem,
-    ValueGroup, element_in_interval, side_name,
+    ValueGroup, element_in_interval, restrict_position, side_name,
 )
 from .ordfield import (
     DEFAULT_MAX_STEPS, ExpansionBudgetError, FieldDescriptor, FieldElement,
@@ -68,7 +68,7 @@ from .ordfield import (
 from .ratfun import RatFun, RatFunSyntaxError, format_ratfun, parse_ratfun
 from .balls import (
     Ball, BallComplement, NonBallWithFiller, ball_contains, ball_eq,
-    between_ball, complement_pair_at, filler_distance_segment,
+    between_ball, complement_pair_at,
 )
 from .cuts import (
     Cut, CutComparisonError, classify, cut_cmp, cut_edge, cut_filler,
@@ -851,10 +851,13 @@ def _cmd_between(sess: Session, scan: _Scan) -> dict:
                 ambient = sess.field(scan.word())
             else:
                 scan.pos = mark
-        seg = filler_distance_segment(spec, sess.max_steps)
         out = between_ball(spec, ambient=ambient, max_steps=sess.max_steps)
+        # the radius is the largest segment above v(E-D), so it restricts
+        # back to the boundary of v(E-D)
+        seg = restrict_position(out.radius.boundary,
+                                R.embedding_mask_into(out.field), R.group)
         info = _ball_info(out)
-        info["distances_below"] = seg.boundary.describe()
+        info["distances_below"] = seg.describe()
         return _maybe_bind(sess, scan, sess.balls, out, info)
     C1 = sess.cut(scan.word())
     C2 = sess.cut(scan.word())
@@ -1370,6 +1373,13 @@ def render_human(record: dict) -> str:
     return out
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="rplaces",
@@ -1385,8 +1395,10 @@ def main(argv: Optional[list] = None) -> int:
                         help="emit one JSON record per command")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the probe experiments (default 0)")
-    parser.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
-                        help="expansion budget for approximation searches")
+    parser.add_argument("--max-steps", type=_positive_int,
+                        default=DEFAULT_MAX_STEPS,
+                        help="expansion budget for approximation searches "
+                             "(at least 1)")
     args = parser.parse_args(argv)
 
     if args.command is not None:

@@ -6,6 +6,13 @@ cuts, an edge of an ultrametric ball (principal cuts are edges of singleton
 balls), and the cut traced by an element g of a declared extension field
 ("filler": D = {x : x < g}).
 
+A filler leaves the base field either through an exponent, and then its
+cut is a ball edge (or an improper cut) in disguise, or through a
+coefficient, and then its cut is a genuine non-ball cut.  `cut_filler`
+decides which once and stores the equal edge or improper cut as the
+filler's `normal`; the order operations work on that normal form, so a
+filler cut they see with `normal is None` is always a non-ball cut.
+
 Comparison is exact.  The only undecidable-looking corner, filler against
 filler, reduces to finding a field element strictly between the two
 generators; term extraction relative to the base field settles that in
@@ -52,18 +59,26 @@ def _rational_over(c: QuadExt) -> Fraction:
 
 
 class Cut:
-    """One cut of `field`; construct through the cut_* factories."""
+    """One cut of `field`; construct through the cut_* factories.
 
-    __slots__ = ("field", "kind", "ball", "side", "g")
+    A filler cut keeps its generator `g` and side for membership, places
+    and printing.  Its `normal` is the equal edge or improper cut when g
+    leaves the field through an exponent, and None when the cut is a
+    genuine non-ball cut; other kinds have no `normal`.
+    """
+
+    __slots__ = ("field", "kind", "ball", "side", "g", "normal")
 
     def __init__(self, field: FieldDescriptor, kind: str,
                  ball: Optional[Ball] = None, side: Optional[int] = None,
-                 g: Optional[FieldElement] = None):
+                 g: Optional[FieldElement] = None,
+                 normal: Optional["Cut"] = None):
         self.field = field
         self.kind = kind
         self.ball = ball
         self.side = side
         self.g = g
+        self.normal = normal
 
     def is_principal(self) -> bool:
         return self.kind == "edge" and self.ball.is_singleton()
@@ -113,13 +128,43 @@ def cut_principal(a: FieldElement, side: int) -> Cut:
 
 def cut_filler(g: FieldElement, side: int, target: FieldDescriptor,
                max_steps: int = DEFAULT_MAX_STEPS) -> Cut:
-    """The cut of `target` traced by an element of a declared extension."""
+    """The cut of `target` traced by an element of a declared extension.
+
+    The analysis of g over `target` runs here, once: an exponent
+    obstruction makes the cut's `normal` the ball edge it equals, and a
+    filler cut left with `normal is None` is a non-ball cut."""
     if side not in (LOWER, UPPER):
         raise ValueError("side must be LOWER or UPPER")
     if g.field is target:
         raise ValueError("filler element must come from a proper extension")
-    obstruction(g, target, max_steps)  # g must leave the target field
-    return Cut(target, "filler", side=side, g=g)
+    return cut_filler_analyzed(g, side, target,
+                               obstruction(g, target, max_steps))
+
+
+def cut_filler_analyzed(g: FieldElement, side: int,
+                        target: FieldDescriptor, res: Obstructed) -> Cut:
+    """cut_filler for a g whose analysis over `target` has already run."""
+    normal = None
+    if res.obstruction == "exponent":
+        mask = target.embedding_mask_into(g.field)
+        normal = cut_edge(*_disguised_ball(res, target, mask))
+    return Cut(target, "filler", side=side, g=g, normal=normal)
+
+
+def _disguised_ball(res: Obstructed, R: FieldDescriptor,
+                    mask: tuple) -> tuple[Ball, int]:
+    """The ball of R, and the side of it, whose edge an element with an
+    exponent obstruction over R traces: every r of R closer to the
+    approximant than the obstruction lies on the coefficient's side."""
+    above = res.gamma0.group.above(res.gamma0)
+    T = FinalSegment(restrict_position(above, mask, R.group))
+    side = UPPER if res.coeff.sign() > 0 else LOWER
+    return Ball(R, res.approximant, T), side
+
+
+def _normal(C: Cut) -> Cut:
+    """The edge or improper cut a disguised filler equals; C otherwise."""
+    return C if C.normal is None else C.normal
 
 
 # -- membership ---------------------------------------------------------------
@@ -146,42 +191,27 @@ def cut_cmp(C1: Cut, C2: Cut) -> int:
     """Total order on cuts of one field: -1, 0, +1."""
     if C1.field is not C2.field:
         raise CutComparisonError("cuts live in different fields")
+    if C1.kind == "filler" and C2.kind == "filler":
+        # fillers from unrelated extensions stay incomparable even when
+        # their normal forms are not
+        G = _joined_field(C1, C2)
+    C1, C2 = _normal(C1), _normal(C2)
     k1, k2 = C1.kind, C2.kind
     if k1 == "minus_inf" or k2 == "minus_inf":
         if k1 == k2:
             return EQ
-        if k1 == "minus_inf":
-            return EQ if _is_beyond(C2, -1) else LT
-        return EQ if _is_beyond(C1, -1) else GT
+        return LT if k1 == "minus_inf" else GT
     if k1 == "plus_inf" or k2 == "plus_inf":
         if k1 == k2:
             return EQ
-        if k2 == "plus_inf":
-            return EQ if _is_beyond(C1, +1) else LT
-        return EQ if _is_beyond(C2, +1) else GT
+        return LT if k2 == "plus_inf" else GT
     if k1 == "edge" and k2 == "edge":
         return _edge_pair_cmp(C1, C2)
     if k1 == "edge":
         return _edge_vs_filler(C1, C2)
     if k2 == "edge":
         return -_edge_vs_filler(C2, C1)
-    return _filler_pair_cmp(C1, C2)
-
-
-def _is_beyond(C: Cut, direction: int) -> bool:
-    """Filler cut equal to an improper cut: its generator lies outside the
-    whole target field on the given side."""
-    if C.kind != "filler":
-        return False
-    res = _filler_analysis(C.g, C.field)
-    if res.obstruction != "exponent":
-        return False
-    mask = C.field.embedding_mask_into(C.g.field)
-    bound = restrict_position(C.g.field.group.below(res.gamma0), mask,
-                              C.field.group)
-    if bound.kind != "minf":
-        return False
-    return res.coeff.sign() == direction
+    return _filler_pair_cmp(lift(C1.g, G), lift(C2.g, G), C1.field)
 
 
 def _filler_analysis(g: FieldElement, F: FieldDescriptor,
@@ -212,52 +242,39 @@ def _edge_pair_cmp(C1: Cut, C2: Cut) -> int:
     return -out if flip else out
 
 
-def _hull_zone(B: Ball, g: FieldElement) -> tuple[str, int]:
-    """Where an extension element g sits relative to the convex hull of B:
-    strictly between members ("inside"), in the gap between B and the rest
-    of its field ("adjacent"), or past some outside field element
-    ("beyond"); paired with the sign of g - center."""
+def _hull_offset(B: Ball, g: FieldElement) -> tuple[bool, FieldElement]:
+    """g - center for the generator g of a non-ball filler of B's field,
+    and whether g sits strictly between members of the convex hull of B
+    (else it lies past some field element outside B).  Only a disguised
+    ball edge could sit in the gap between B and the rest of the field."""
     G = g.field
-    mask = B.field.embedding_mask_into(G)
-    if mask is None:
-        raise CutComparisonError(
-            f"{B.field.name} does not embed in {G.name}")
     d = g - lift(B.center, G)
-    if d.is_zero():
-        raise CutComparisonError("extension element equals the ball center")
-    pos = G.group.at(d.val())
     bnd = B.radius.boundary
-    if pos.cmp(embed_position_max(bnd, mask, G.group)) > 0:
-        return "inside", d.sign()
-    if pos.cmp(embed_position_min(bnd, mask, G.group)) > 0:
-        return "adjacent", d.sign()
-    return "beyond", d.sign()
+    mask = B.field.embedding_mask_into(G)
+    inside = G.group.at(d.val()).cmp(embed_position_max(bnd, mask,
+                                                        G.group)) > 0
+    return inside, d
 
 
 def _edge_vs_filler(Ce: Cut, Cf: Cut) -> int:
-    zone, sigma = _hull_zone(Ce.ball, Cf.g)
-    if zone == "inside":
+    inside, d = _hull_offset(Ce.ball, Cf.g)
+    if inside:
         return LT if Ce.side == LOWER else GT
-    if zone == "adjacent":
-        if (sigma > 0) == (Ce.side == UPPER):
-            return EQ
-        return LT if Ce.side == LOWER else GT
-    return LT if sigma > 0 else GT
+    return LT if d.sign() > 0 else GT
 
 
-def _joined_generators(C1: Cut, C2: Cut
-                       ) -> tuple[FieldElement, FieldElement]:
-    """The generators of two filler cuts, lifted into the larger of their
-    extension fields."""
+def _joined_field(C1: Cut, C2: Cut) -> FieldDescriptor:
+    """The larger of the extension fields of two filler cuts."""
     try:
-        G = C1.g.field.join(C2.g.field)
+        return C1.g.field.join(C2.g.field)
     except FieldMismatchError as exc:
         raise CutComparisonError(str(exc)) from exc
-    return lift(C1.g, G), lift(C2.g, G)
 
 
-def _filler_pair_cmp(C1: Cut, C2: Cut) -> int:
-    g1, g2 = _joined_generators(C1, C2)
+def _filler_pair_cmp(g1: FieldElement, g2: FieldElement,
+                     F: FieldDescriptor) -> int:
+    """Order of the non-ball cuts of F traced by g1 and g2, which share
+    one field."""
     d = g2 - g1
     if d.is_zero():
         return EQ
@@ -265,7 +282,7 @@ def _filler_pair_cmp(C1: Cut, C2: Cut) -> int:
         lo, hi, order = g1, g2, LT
     else:
         lo, hi, order = g2, g1, GT
-    x = _element_between_fillers(lo, hi, C1.field)
+    x = _element_between_fillers(lo, hi, F)
     return order if x is not None else EQ
 
 
@@ -274,57 +291,40 @@ def _element_between_fillers(lo: FieldElement, hi: FieldElement,
                              max_steps: int = DEFAULT_MAX_STEPS
                              ) -> Optional[FieldElement]:
     """An element of F strictly between two extension elements lo < hi of a
-    common extension, or None when no such element exists.
+    common extension that trace non-ball cuts of F, or None when no such
+    element exists.
 
     Term extraction of lo over F yields the best approximant r* and the
-    obstruction scale gamma0 = max v(lo - F).  Writing w = v(hi - lo), an
-    element between the two exists exactly when some F-expressible monomial
-    fits into the gap: a coefficient slot at w itself when w sits in the
-    exponent image, an exponent slot strictly between w and gamma0, a
-    coefficient nudge at gamma0, or r* already falling inside.
+    coefficient obstruction at gamma0 = max v(lo - F).  Writing
+    w = v(hi - lo), an element between the two exists exactly when w does
+    not exceed gamma0: a coefficient nudge at gamma0 when w equals it, and
+    otherwise r* itself or a coefficient slot at w, which lies in the
+    exponent image as every distance from hi to F does.
     """
     delta = hi - lo
     res = _filler_analysis(lo, F, max_steps)
     gamma0, c0, r_star = res.gamma0, res.coeff, res.approximant
     G = lo.field
-    mask = F.embedding_mask_into(G)
     w = delta.val()
-    if w.cmp(gamma0) > 0:
+    order = w.cmp(gamma0)
+    if order > 0:
         return None
+    mask = F.embedding_mask_into(G)
 
     def between(cand: FieldElement) -> bool:
         c = lift(cand, G)
         return c.cmp(lo) > 0 and c.cmp(hi) < 0
 
-    def checked(cand: FieldElement) -> FieldElement:
-        if not between(cand):
-            raise AssertionError("slot candidate failed its side checks")
-        return cand
-
-    if w.cmp(gamma0) < 0:
-        if between(r_star):
-            return r_star
-        wF = restrict_element(w, mask, F.group)
-        if wF is not None:
-            # coefficient slot at the gap scale itself
-            s = rational_between(QuadExt(0), delta.leading_coeff())
-            return checked(r_star + F.monomial(wF, s))
-        rho_w = restrict_position(G.group.at(w), mask, F.group)
-        rho_g = restrict_position(G.group.at(gamma0), mask, F.group)
-        slot = element_in_interval(rho_w, rho_g) if rho_w.cmp(rho_g) < 0 \
-            else None
-        if slot is not None:
-            return checked(r_star + F.monomial(slot))
-        if res.obstruction == "coefficient":
-            gF = restrict_element(gamma0, mask, F.group)
-            return checked(r_star + F.monomial(gF, _rational_over(c0)))
-        return None
-    # w == gamma0: the gap spans exactly the obstruction scale
-    if res.obstruction == "coefficient":
-        gF = restrict_element(gamma0, mask, F.group)
+    if order == 0:
         s = rational_between(c0, c0 + delta.leading_coeff())
-        return checked(r_star + F.monomial(gF, s))
-    return r_star if between(r_star) else None
+    elif between(r_star):
+        return r_star
+    else:
+        s = rational_between(QuadExt(0), delta.leading_coeff())
+    cand = r_star + F.monomial(restrict_element(w, mask, F.group), s)
+    if not between(cand):
+        raise AssertionError("slot candidate failed its side checks")
+    return cand
 
 
 # -- equivalence --------------------------------------------------------------
@@ -335,41 +335,14 @@ def equivalent(C1: Cut, C2: Cut) -> bool:
     if order == EQ:
         return True
     lo, hi = (C1, C2) if order == LT else (C2, C1)
+    lo, hi = _normal(lo), _normal(hi)
     if lo.kind == "minus_inf" and hi.kind == "plus_inf":
         return True  # edges of the whole-field ball
     if lo.kind == "edge" and hi.kind == "edge":
         return lo.side == LOWER and hi.side == UPPER and \
             ball_eq(lo.ball, hi.ball)
-    if lo.kind == "edge" and hi.kind == "filler":
-        return _hull_zone(lo.ball, hi.g)[0] == "adjacent"
-    if lo.kind == "filler" and hi.kind == "edge":
-        return _hull_zone(hi.ball, lo.g)[0] == "adjacent"
-    if lo.kind == "filler" and hi.kind == "filler":
-        return _filler_pair_ball(lo, hi) is not None
+    # a non-ball cut is equivalent only to itself
     return False
-
-
-def _filler_pair_ball(lo: Cut, hi: Cut) -> Optional[Ball]:
-    """The ball whose edges the two strictly ordered filler cuts are, if
-    one exists."""
-    F = lo.field
-    g_lo, g_hi = _joined_generators(lo, hi)
-    m = _element_between_fillers(g_lo, g_hi, F)
-    if m is None:
-        return None
-    G = g_lo.field
-    mask = F.embedding_mask_into(G)
-    mG = lift(m, G)
-    thr = (mG - g_lo).val()
-    d2 = (g_hi - mG).val()
-    if thr.cmp(d2) < 0:
-        thr = d2
-    boundary = restrict_position(G.group.above(thr), mask, F.group)
-    cand = Ball(F, m, FinalSegment(boundary))
-    if cut_cmp(lo, cut_edge(cand, LOWER)) == EQ and \
-            cut_cmp(hi, cut_edge(cand, UPPER)) == EQ:
-        return cand
-    return None
 
 
 # -- classification -----------------------------------------------------------
@@ -465,12 +438,10 @@ def classify(C: Cut, precision: GroupElem,
     if gamma.cmp(cutoff) > 0:
         return past_cutoff
     if res.obstruction == "exponent":
-        side = UPPER if c.sign() > 0 else LOWER
-        T = FinalSegment(restrict_position(G.group.above(gamma), mask,
-                                           R.group))
-        if T.is_empty():
+        B, side = _disguised_ball(res, R, mask)
+        if B.is_singleton():
             return PrincipalResult(approx, side)
-        return BallCutResult(Ball(R, approx, T), side)
+        return BallCutResult(B, side)
     g_sub = restrict_element(gamma, mask, R.group)
     return NonBallResult(_non_ball_certificate(C, approx, g_sub, c))
 
@@ -535,12 +506,12 @@ def restrict(C: Cut, R: FieldDescriptor,
     if C.kind == "plus_inf":
         return cut_plus_inf(R)
     if C.kind == "filler":
-        return Cut(R, "filler", side=C.side, g=C.g)
+        return cut_filler(C.g, C.side, R, max_steps)
     B = C.ball
     res = settled_analysis(B.center, R, max_steps)
     if isinstance(res, Obstructed) and not B.radius.contains(res.gamma0):
         # the ball misses R entirely; both edges trace the center's cut
-        return Cut(R, "filler", side=C.side, g=B.center)
+        return cut_filler_analyzed(B.center, C.side, R, res)
     center = res.approximant
     S0 = FinalSegment(restrict_position(B.radius.boundary, mask, R.group))
     return cut_edge(Ball(R, center, S0), C.side)
@@ -568,6 +539,7 @@ def fiber(C: Cut, F: FieldDescriptor,
     if mask is None:
         raise FieldMismatchError(f"{R.name} is not a declared subfield of "
                                  f"{F.name}")
+    C = _normal(C)
     if C.kind == "filler":
         if C.g.field.embedding_mask_into(F) is None:
             raise FieldMismatchError(
@@ -609,21 +581,12 @@ def _element_past(C: Cut, direction: int) -> FieldElement:
             return B.center + direction
         out = element_in_interval(F.group.minus_inf(), B.radius.boundary)
         return B.center + F.monomial(out, direction)
-    res = _filler_analysis(C.g, C.field)
-    r_star = res.approximant
-    G = C.g.field
-    mask = F.embedding_mask_into(G)
-    if res.obstruction == "coefficient":
-        gF = restrict_element(res.gamma0, mask, F.group)
-        s = Fraction(abs(res.coeff.floor()) + 1)
-        return r_star + F.monomial(gF, direction * s)
-    rho = restrict_position(G.group.at(res.gamma0), mask, F.group)
-    step = element_in_interval(F.group.minus_inf(), rho)
-    if step is None:
-        # the generator lies beyond the field; every element is past it
-        # on the approachable side
-        return F.zero()
-    return r_star + F.monomial(step, direction)
+    # a non-ball filler: nudge the coefficient at the obstruction scale
+    res = _filler_analysis(C.g, F)
+    mask = F.embedding_mask_into(C.g.field)
+    gF = restrict_element(res.gamma0, mask, F.group)
+    s = Fraction(abs(res.coeff.floor()) + 1)
+    return res.approximant + F.monomial(gF, direction * s)
 
 
 def cut_lt_witness(C1: Cut, C2: Cut,
@@ -632,6 +595,7 @@ def cut_lt_witness(C1: Cut, C2: Cut,
     below C2."""
     if cut_cmp(C1, C2) != LT:
         raise ValueError("witness requires strictly ordered cuts")
+    C1, C2 = _normal(C1), _normal(C2)
     if C1.kind == "minus_inf":
         return _element_past(C2, -1)
     if C2.kind == "plus_inf":
@@ -642,8 +606,9 @@ def cut_lt_witness(C1: Cut, C2: Cut,
         return _edge_filler_witness(C1, C2, below_filler=True)
     if C1.kind == "filler" and C2.kind == "edge":
         return _edge_filler_witness(C2, C1, below_filler=False)
-    g1, g2 = _joined_generators(C1, C2)
-    x = _element_between_fillers(g1, g2, C1.field, max_steps)
+    G = _joined_field(C1, C2)
+    x = _element_between_fillers(lift(C1.g, G), lift(C2.g, G), C1.field,
+                                 max_steps)
     if x is None:
         raise AssertionError("strictly ordered filler cuts admitted no "
                              "witness")
@@ -668,42 +633,26 @@ def _edge_pair_witness(C1: Cut, C2: Cut) -> FieldElement:
 
 def _edge_filler_witness(Ce: Cut, Cf: Cut, below_filler: bool
                          ) -> FieldElement:
-    """Element between a ball-edge cut and a filler cut; below_filler says
-    the edge cut is the smaller one."""
+    """Element between a ball-edge cut and a non-ball filler cut;
+    below_filler says the edge cut is the smaller one.  The generator's
+    distance to any element of the field, the ball's center included, is
+    an exponent of the field."""
     B = Ce.ball
     F = Ce.field
-    g = Cf.g
-    G = g.field
-    mask = F.embedding_mask_into(G)
-    zone, sigma = _hull_zone(B, g)
-    d = g - lift(B.center, G)
-    vd = d.val()
-    delta_img = restrict_element(vd, mask, F.group)
-    rho = restrict_position(G.group.at(vd), mask, F.group)
-    if zone in ("inside", "adjacent"):
+    inside, d = _hull_offset(B, Cf.g)
+    sigma = d.sign()
+    vd = restrict_element(d.val(), F.embedding_mask_into(d.field), F.group)
+    c0 = d.leading_coeff()
+    if inside:
         if (sigma > 0) == below_filler:
             return B.center
         # a member of B on the far side of g
-        if delta_img is not None:
-            s = Fraction(abs(d.leading_coeff().floor()) + 1)
-            off = F.monomial(delta_img, s if sigma > 0 else -s)
-        else:
-            gamma = element_in_interval(B.radius.boundary, rho)
-            if gamma is None:
-                raise AssertionError("inside-hull element with no member "
-                                     "scale under it")
-            off = F.monomial(gamma, 1 if sigma > 0 else -1)
-        return B.center + off
+        s = Fraction(abs(c0.floor()) + 1)
+        return B.center + F.monomial(vd, s if sigma > 0 else -s)
     # beyond the hull: an element of F between the ball and g
-    if delta_img is not None:
-        c0 = d.leading_coeff()
-        s = rational_between(QuadExt(0), c0) if sigma > 0 \
-            else rational_between(c0, QuadExt(0))
-        return B.center + F.monomial(delta_img, s)
-    gamma = element_in_interval(rho, B.radius.boundary)
-    if gamma is None:
-        raise AssertionError("beyond-hull element with no separating scale")
-    return B.center + F.monomial(gamma, 1 if sigma > 0 else -1)
+    s = rational_between(QuadExt(0), c0) if sigma > 0 \
+        else rational_between(c0, QuadExt(0))
+    return B.center + F.monomial(vd, s)
 
 
 def find_between(C1: Cut, C2: Cut,

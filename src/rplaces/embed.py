@@ -21,10 +21,11 @@ from .valgroup import (LOWER, UPPER, FinalSegment, GroupElem, LEX,
                        restrict_position, segment_above)
 from .ordfield import (DEFAULT_MAX_STEPS, FieldDescriptor, FieldElement,
                        FieldMismatchError, InSubfield, Obstructed,
-                       approx_analysis, lift, obstruction, settled_analysis)
+                       approx_analysis, lift, settled_analysis)
 from .balls import Ball, NonBallWithFiller, between_ball
-from .cuts import (Cut, cut_cmp, cut_edge, cut_filler, cut_minus_inf,
-                   cut_plus_inf, cut_principal, equivalent, side_of)
+from .cuts import (Cut, cut_cmp, cut_edge, cut_filler_analyzed,
+                   cut_minus_inf, cut_plus_inf, cut_principal, equivalent,
+                   side_of)
 from .places import RPlace, induced_cut, place_from_cut
 
 
@@ -86,7 +87,7 @@ def _fills(x: FieldElement, C: Cut, max_steps: int) -> bool:
     res = approx_analysis(x, C.field, max_steps)
     if not isinstance(res, Obstructed):
         return False
-    return equivalent(cut_filler(x, LOWER, C.field, max_steps), C)
+    return equivalent(cut_filler_analyzed(x, LOWER, C.field, res), C)
 
 
 def iota_tilde(C: Cut, ctx: EmbeddingContext,
@@ -106,6 +107,8 @@ def iota_tilde(C: Cut, ctx: EmbeddingContext,
     if C.field is not ctx.R:
         raise ValueError("cut does not live over the context's subfield")
     F = ctx.F
+    if C.normal is not None:
+        C = C.normal  # a ball edge of R in disguise
     if C.kind == "minus_inf":
         return cut_minus_inf(F)
     if C.kind == "plus_inf":
@@ -113,18 +116,7 @@ def iota_tilde(C: Cut, ctx: EmbeddingContext,
     if C.kind == "edge":
         return _edge_image(C.ball, C.side, ctx)
 
-    G = C.g.field
-    res = obstruction(C.g, ctx.R, max_steps)
-    if res.obstruction == "exponent":
-        # the filler only ever leaves R through its exponents, so the cut
-        # is a ball edge of R in disguise
-        mask = ctx.R.embedding_mask_into(G)
-        T = FinalSegment(restrict_position(G.group.above(res.gamma0),
-                                           mask, ctx.R.group))
-        side = UPPER if res.coeff.sign() > 0 else LOWER
-        return _edge_image(Ball(ctx.R, res.approximant, T), side, ctx)
-
-    g = lift(C.g, _host_field(G, F))
+    g = lift(C.g, _host_field(C.g.field, F))
     res_F = settled_analysis(g, F, max_steps)
     if isinstance(res_F, InSubfield):
         filler = res_F.approximant
@@ -132,7 +124,7 @@ def iota_tilde(C: Cut, ctx: EmbeddingContext,
             _fills(res_F.approximant, C, max_steps):
         filler = res_F.approximant
     else:
-        return cut_filler(g, LOWER, F, max_steps)
+        return cut_filler_analyzed(g, LOWER, F, res_F)
     B = between_ball(NonBallWithFiller(ctx.R, filler), ambient=F,
                      max_steps=max_steps)
     return cut_edge(B, LOWER)

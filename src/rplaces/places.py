@@ -25,9 +25,9 @@ from .valgroup import LOWER, UPPER, LEX, WEIGHTED, GroupElem, ValueGroup
 from .ordfield import (DEFAULT_MAX_STEPS, INF, Exhausted, FieldDescriptor,
                        FieldElement, adjoin_infinitesimal, approx_analysis,
                        lift, obstruction)
-from .ratfun import Poly, RatFun, format_ratfun
-from .cuts import (Cut, cut_cmp, cut_filler, cut_lt_witness, equivalent,
-                   find_between)
+from .ratfun import Poly, RatFun, _as_element, format_ratfun
+from .cuts import (Cut, cut_cmp, cut_filler_analyzed, cut_lt_witness,
+                   equivalent, find_between)
 
 
 def _side_sign(side: int) -> int:
@@ -155,14 +155,6 @@ class RPlace:
             return f"RPlace({self.base.name}({', '.join(self.variables)}): " \
                    f"{parts})"
         return f"RPlace({self.kind} over {self.base.name})"
-
-
-def _as_base_value(base: FieldDescriptor, v) -> FieldElement:
-    if isinstance(v, FieldElement):
-        if v.field is base:
-            return v
-        return lift(v, base)
-    return base.const(v)
 
 
 def realized_place(base: FieldDescriptor, assignment: dict,
@@ -330,7 +322,7 @@ def induced_cut(place: RPlace, var: str,
     x = place.realization[var]
     res = obstruction(x, place.base, max_steps)
     side = UPPER if res.coeff.sign() > 0 else LOWER
-    return cut_filler(x, side, place.base, max_steps)
+    return cut_filler_analyzed(x, side, place.base, res)
 
 
 # -- constructed multi-variable places ---------------------------------------------
@@ -355,17 +347,24 @@ def stacked_place(base: FieldDescriptor, assignment,
         raise ValueError("stacked places need a constant base field "
                          "(group rank 0)")
     items = _assignment_items(assignment)
-    n = len(items)
-    group = ValueGroup(LEX, n)
+    return _perturbed_place(base, items, ValueGroup(LEX, len(items)), name,
+                            "stacked")
+
+
+def _perturbed_place(base: FieldDescriptor, items: list,
+                     group: ValueGroup, name: Optional[str],
+                     provenance: str) -> RPlace:
+    """Variable i goes to its center + t^(unit i) in a new extension of
+    the constant base field by `group`."""
     if name is None:
         name = f"{base.name}({','.join(v for v, _ in items)})"
     big = base.extend_group(name, group, ())
     realization = {}
     for i, (v, a) in enumerate(items):
-        center = lift(_as_base_value(base, a), big)
+        center = lift(_as_element(base, a), big)
         realization[v] = center + big.monomial(group.unit(i))
     return RPlace("realized", base, tuple(v for v, _ in items), big,
-                  realization, provenance="stacked")
+                  realization, provenance=provenance)
 
 
 def _check_weights(weights: Sequence[QuadExt]) -> tuple:
@@ -398,16 +397,8 @@ def independent_place(base: FieldDescriptor, assignment,
     if len(weights) != len(items):
         raise ValueError("need one weight per variable")
     ws = _check_weights(weights)
-    group = ValueGroup(WEIGHTED, len(items), ws)
-    if name is None:
-        name = f"{base.name}({','.join(v for v, _ in items)})"
-    big = base.extend_group(name, group, ())
-    realization = {}
-    for i, (v, a) in enumerate(items):
-        center = lift(_as_base_value(base, a), big)
-        realization[v] = center + big.monomial(group.unit(i))
-    return RPlace("realized", base, tuple(v for v, _ in items), big,
-                  realization, provenance="independent")
+    return _perturbed_place(base, items, ValueGroup(WEIGHTED, len(items), ws),
+                            name, "independent")
 
 
 def rational_place_compose(assignment, zeta: ResiduePlace,
@@ -429,7 +420,7 @@ def rational_place_compose(assignment, zeta: ResiduePlace,
         eps.append(e)
     realization = {}
     for (v, a), e in zip(items, eps):
-        realization[v] = lift(_as_base_value(K, a), cur) + lift(e, cur)
+        realization[v] = lift(_as_element(K, a), cur) + lift(e, cur)
     return RPlace("realized", K, tuple(v for v, _ in items), cur,
                   realization, provenance="composed")
 

@@ -35,6 +35,7 @@ POLE = PoleMarker()
 
 
 def _as_element(field: FieldDescriptor, c) -> FieldElement:
+    """c in `field`: a constant, or an element of a declared subfield."""
     if isinstance(c, FieldElement):
         if c.field is not field:
             return lift(c, field)

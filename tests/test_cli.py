@@ -630,3 +630,15 @@ class TestMain:
         assert status == 1
         last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert last["error"]["code"] == "budget"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_steps_below_one_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--max-steps", value,
+                  "-c", "def-field F = hahn rational lex 1",
+                  "-c", "def-elem g in F = 1",
+                  "-c", "expand g cutoff (5)"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--max-steps" in out.err

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rplaces.balls import Ball, ball_eq
 from rplaces.coeff import QuadExt
@@ -813,3 +813,144 @@ class TestFullBallInterval:
         report = is_full_ball_interval(B, samples)
         assert report.all_consistent
         assert all(c["relation"] == "inside" for c in report.cases)
+
+
+# -- filler normal forms ------------------------------------------------------
+
+def _tail_fillers(*elems):
+    """Filler cuts of R (the trailing coordinate of a rank-2 field) traced
+    by elements of F given as {exponent: coefficient} maps."""
+    R, F = tail_pair()
+    cuts = []
+    for terms in elems:
+        g = F.zero()
+        for e, c in terms.items():
+            g = g + F.monomial(F.group.elem(*e), c)
+        cuts.append(cut_filler(g, LOWER, R))
+    return R, F, cuts
+
+
+class TestNormalForm:
+    def test_beyond_and_infinitesimal_fillers_order_transitively(self):
+        # 1 - t^(-1,0) lies below every element of R and -1 + t^(1,0) just
+        # above -1, so -2 separates them
+        R, F, (C1, C2) = _tail_fillers({(0, 0): 1, (-1, 0): -1},
+                                       {(0, 0): -1, (1, 0): 1})
+        M = cut_minus_inf(R)
+        assert cut_cmp(C1, M) == EQ
+        assert cut_cmp(M, C2) == LT
+        assert cut_cmp(C1, C2) == LT
+        assert side_of(C1, R.const(-2)) == ABOVE
+        assert side_of(C2, R.const(-2)) == BELOW
+        w = cut_lt_witness(C1, C2)
+        assert side_of(C1, w) == ABOVE and side_of(C2, w) == BELOW
+
+    def test_fiber_of_disguised_principal_restricts_back(self):
+        # 2t^(0,3) + t^(1,-4/3) fills the cut (2t^3)+ of R
+        R, F, (D,) = _tail_fillers({(0, 3): 2, (1, Q(-4, 3)): 1})
+        assert cut_cmp(D.normal, cut_principal(R.monomial(R.group.elem(3),
+                                                          2), UPPER)) == EQ
+        fd = fiber(D, F)
+        assert cut_cmp(restrict(fd.lower, R), D) == EQ
+        assert cut_cmp(restrict(fd.upper, R), D) == EQ
+
+    def test_fiber_of_filler_beyond_the_field(self):
+        R, F, (D,) = _tail_fillers({(-1, 2): 1, (0, -1): -1})
+        assert D.normal.kind == "plus_inf"
+        fd, top = fiber(D, F), fiber(cut_plus_inf(R), F)
+        assert cut_cmp(fd.lower, top.lower) == EQ
+        assert cut_cmp(fd.upper, top.upper) == EQ
+        assert fd.singleton == top.singleton
+
+    def test_filler_restriction_runs_its_analysis(self):
+        # over F the generator leaves through its sqrt(2) coefficient, over
+        # R through an exponent, so the restriction is a disguised edge
+        R, F = tail_pair()
+        W = F.extend_coeff("W", 2)
+        g = W.monomial(W.group.elem(0, 1)) + \
+            W.monomial(W.group.elem(1, 0), QuadExt(0, 1, 2))
+        C = cut_filler(g, UPPER, F)
+        assert C.normal is None
+        D = restrict(C, R)
+        assert D.kind == "filler"
+        assert cut_cmp(D.normal, cut_principal(R.monomial(R.group.elem(1)),
+                                               UPPER)) == EQ
+        with pytest.raises(ExpansionBudgetError):
+            restrict(C, R, max_steps=1)
+
+
+_small_q = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+_coeff = _small_q.filter(lambda q: q != 0)
+
+
+@st.composite
+def _exponent_filler_case(draw):
+    """An exponent filler of R, R on one coordinate of a rank-2 lex field,
+    and elements of R drawn around the filler's R-part."""
+    m = draw(st.sampled_from((0, 1)))
+    F = FieldDescriptor("F", None, ValueGroup(LEX, 2))
+    R = F.subfield("R", mask=(m,))
+
+    def f_exp(q, off):
+        coords = [Q(0), Q(0)]
+        coords[m], coords[1 - m] = q, off
+        return F.group.elem(*coords)
+
+    r_terms = draw(st.lists(st.tuples(_small_q, _coeff), max_size=3,
+                            unique_by=lambda t: t[0]))
+    g = F.zero()
+    for q, c in r_terms:
+        g = g + F.monomial(f_exp(q, 0), c)
+    off = draw(st.sampled_from((Q(-1), Q(1), Q(1, 2))))
+    g = g + F.monomial(f_exp(draw(_small_q), off), draw(_coeff))
+    xs = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = R.zero()
+        for q, c in r_terms[:draw(st.integers(0, len(r_terms)))]:
+            x = x + R.monomial(R.group.elem(q), c)
+        xs.append(x + R.monomial(R.group.elem(draw(_small_q)), draw(_coeff)))
+    side = draw(st.sampled_from((LOWER, UPPER)))
+    return cut_filler(g, side, R), xs
+
+
+@st.composite
+def _coefficient_filler_and_edge(draw):
+    """A sqrt(2)-coefficient filler of the rank-1 rational field and a
+    ball edge centred near it."""
+    R, F, rt2 = sqrt2_pair()
+    terms = draw(st.lists(st.tuples(_small_q, _coeff), max_size=3,
+                          unique_by=lambda t: t[0]))
+    x = R.zero()
+    for q, c in terms:
+        x = x + R.monomial(R.group.elem(q), c)
+    q0 = draw(_small_q)
+    a = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    g = lift(x, F) + F.monomial(F.group.elem(q0), QuadExt(a, draw(_coeff), 2))
+    C = cut_filler(g, draw(st.sampled_from((LOWER, UPPER))), R)
+    center = x + R.monomial(R.group.elem(draw(_small_q)), draw(_coeff))
+    radius = draw(st.sampled_from((
+        R.group.seg_empty(), R.group.seg_all(),
+        seg_above(R.group, draw(_small_q)),
+        seg_at_least(R.group, draw(_small_q)))))
+    E = cut_edge(Ball(R, center, radius), draw(st.sampled_from((LOWER,
+                                                                UPPER))))
+    return C, E
+
+
+class TestNormalFormProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_exponent_filler_case())
+    def test_exponent_filler_equals_its_normal(self, case):
+        C, xs = case
+        assert C.normal is not None
+        assert cut_cmp(C, C.normal) == EQ
+        for x in xs:
+            assert side_of(C, x) == side_of(C.normal, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_coefficient_filler_and_edge())
+    def test_coefficient_filler_is_no_ball_edge(self, case):
+        C, E = case
+        assert C.normal is None
+        assert cut_cmp(C, E) != EQ
+        assert not equivalent(C, E)
