@@ -861,7 +861,7 @@ def _cmd_between(sess: Session, scan: _Scan) -> dict:
         return _maybe_bind(sess, scan, sess.balls, out, info)
     C1 = sess.cut(scan.word())
     C2 = sess.cut(scan.word())
-    x = find_between(C1, C2, sess.max_steps)
+    x = find_between(C1, C2)
     return _maybe_bind(sess, scan, sess.elems, x, _elem_info(x))
 
 
@@ -913,7 +913,7 @@ def _cmd_witness(sess: Session, scan: _Scan) -> dict:
         if not scan.done():
             scan.expect("var")
             var = scan.word()
-        f, v1, v2 = find_separating_function(C1, C2, var, sess.max_steps)
+        f, v1, v2 = find_separating_function(C1, C2, var)
         return {"function": format_ratfun(f), "value1": str(v1),
                 "value2": str(v2)}
     p1 = sess.rplace(scan.word())

@@ -117,9 +117,6 @@ class QuadExt(Ordered):
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2; nonzero whenever the value is nonzero."""
         dd = 0 if self.d is None else self.d

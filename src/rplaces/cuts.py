@@ -15,8 +15,9 @@ filler cut they see with `normal is None` is always a non-ball cut.
 
 Comparison is exact.  The only undecidable-looking corner, filler against
 filler, reduces to finding a field element strictly between the two
-generators; term extraction relative to the base field settles that in
-finitely many steps or reports honest budget exhaustion.
+generators; the term extraction relative to the base field that settles it
+is the filler's stored `analysis`.  Its step budget is spent once, when the
+cut is built, and the order operations never analyse again.
 """
 from __future__ import annotations
 
@@ -30,8 +31,7 @@ from .balls import (
 from .coeff import QuadExt, rational_between
 from .ordfield import (
     DEFAULT_MAX_STEPS, ExpansionBudgetError, FieldDescriptor, FieldElement,
-    FieldMismatchError, Obstructed, approx_analysis, lift, obstruction,
-    settled_analysis,
+    FieldMismatchError, Obstructed, lift, obstruction, settled_analysis,
 )
 from .valgroup import (
     LOWER, UPPER, FinalSegment, GroupElem, element_in_interval,
@@ -46,8 +46,8 @@ LT, EQ, GT = -1, 0, 1
 
 
 class CutComparisonError(Exception):
-    """The comparison left the decidable fragment (unrelated extension
-    fields, or an analysis budget ran out)."""
+    """The cuts cannot be compared: they live in different fields, or they
+    are fillers from extension fields no declared embedding relates."""
 
 
 def _rational_under(c: QuadExt) -> Fraction:
@@ -62,23 +62,26 @@ class Cut:
     """One cut of `field`; construct through the cut_* factories.
 
     A filler cut keeps its generator `g` and side for membership, places
-    and printing.  Its `normal` is the equal edge or improper cut when g
-    leaves the field through an exponent, and None when the cut is a
-    genuine non-ball cut; other kinds have no `normal`.
+    and printing, and the `analysis` of g over the field it was built
+    from.  Its `normal` is the equal edge or improper cut when g leaves
+    the field through an exponent, and None when the cut is a genuine
+    non-ball cut; other kinds have neither.
     """
 
-    __slots__ = ("field", "kind", "ball", "side", "g", "normal")
+    __slots__ = ("field", "kind", "ball", "side", "g", "normal", "analysis")
 
     def __init__(self, field: FieldDescriptor, kind: str,
                  ball: Optional[Ball] = None, side: Optional[int] = None,
                  g: Optional[FieldElement] = None,
-                 normal: Optional["Cut"] = None):
+                 normal: Optional["Cut"] = None,
+                 analysis: Optional[Obstructed] = None):
         self.field = field
         self.kind = kind
         self.ball = ball
         self.side = side
         self.g = g
         self.normal = normal
+        self.analysis = analysis
 
     def is_principal(self) -> bool:
         return self.kind == "edge" and self.ball.is_singleton()
@@ -130,9 +133,10 @@ def cut_filler(g: FieldElement, side: int, target: FieldDescriptor,
                max_steps: int = DEFAULT_MAX_STEPS) -> Cut:
     """The cut of `target` traced by an element of a declared extension.
 
-    The analysis of g over `target` runs here, once: an exponent
-    obstruction makes the cut's `normal` the ball edge it equals, and a
-    filler cut left with `normal is None` is a non-ball cut."""
+    The analysis of g over `target` runs here, once, under `max_steps`,
+    and the cut carries it as its `analysis`: an exponent obstruction
+    makes the cut's `normal` the ball edge it equals, and a filler cut
+    left with `normal is None` is a non-ball cut."""
     if side not in (LOWER, UPPER):
         raise ValueError("side must be LOWER or UPPER")
     if g.field is target:
@@ -148,7 +152,7 @@ def cut_filler_analyzed(g: FieldElement, side: int,
     if res.obstruction == "exponent":
         mask = target.embedding_mask_into(g.field)
         normal = cut_edge(*_disguised_ball(res, target, mask))
-    return Cut(target, "filler", side=side, g=g, normal=normal)
+    return Cut(target, "filler", side=side, g=g, normal=normal, analysis=res)
 
 
 def _disguised_ball(res: Obstructed, R: FieldDescriptor,
@@ -211,17 +215,7 @@ def cut_cmp(C1: Cut, C2: Cut) -> int:
         return _edge_vs_filler(C1, C2)
     if k2 == "edge":
         return -_edge_vs_filler(C2, C1)
-    return _filler_pair_cmp(lift(C1.g, G), lift(C2.g, G), C1.field)
-
-
-def _filler_analysis(g: FieldElement, F: FieldDescriptor,
-                     max_steps: int = DEFAULT_MAX_STEPS) -> Obstructed:
-    """obstruction(), with an exhausted budget reported as the comparison
-    leaving the decidable fragment."""
-    try:
-        return obstruction(g, F, max_steps)
-    except ExpansionBudgetError as exc:
-        raise CutComparisonError(str(exc)) from exc
+    return _filler_pair_cmp(C1, C2, G)
 
 
 def _edge_pair_cmp(C1: Cut, C2: Cut) -> int:
@@ -271,40 +265,41 @@ def _joined_field(C1: Cut, C2: Cut) -> FieldDescriptor:
         raise CutComparisonError(str(exc)) from exc
 
 
-def _filler_pair_cmp(g1: FieldElement, g2: FieldElement,
-                     F: FieldDescriptor) -> int:
-    """Order of the non-ball cuts of F traced by g1 and g2, which share
-    one field."""
-    d = g2 - g1
+def _filler_pair_cmp(C1: Cut, C2: Cut, G: FieldDescriptor) -> int:
+    """Order of two non-ball filler cuts of one field; G is the larger of
+    their extension fields."""
+    d = lift(C2.g, G) - lift(C1.g, G)
     if d.is_zero():
         return EQ
     if d.sign() > 0:
-        lo, hi, order = g1, g2, LT
+        lo, hi, order = C1, C2, LT
     else:
-        lo, hi, order = g2, g1, GT
-    x = _element_between_fillers(lo, hi, F)
+        lo, hi, order = C2, C1, GT
+    x = _element_between_fillers(lo, hi, G)
     return order if x is not None else EQ
 
 
-def _element_between_fillers(lo: FieldElement, hi: FieldElement,
-                             F: FieldDescriptor,
-                             max_steps: int = DEFAULT_MAX_STEPS
+def _element_between_fillers(lo_cut: Cut, hi_cut: Cut, G: FieldDescriptor
                              ) -> Optional[FieldElement]:
-    """An element of F strictly between two extension elements lo < hi of a
-    common extension that trace non-ball cuts of F, or None when no such
-    element exists.
+    """An element of F strictly between the generators lo < hi of two
+    non-ball filler cuts of F, lifted to G, the larger of their extension
+    fields, or None when no such element exists.
 
-    Term extraction of lo over F yields the best approximant r* and the
+    The lower cut's analysis over F holds the best approximant r* and the
     coefficient obstruction at gamma0 = max v(lo - F).  Writing
     w = v(hi - lo), an element between the two exists exactly when w does
     not exceed gamma0: a coefficient nudge at gamma0 when w equals it, and
     otherwise r* itself or a coefficient slot at w, which lies in the
     exponent image as every distance from hi to F does.
     """
+    F = lo_cut.field
+    lo, hi = lift(lo_cut.g, G), lift(hi_cut.g, G)
     delta = hi - lo
-    res = _filler_analysis(lo, F, max_steps)
+    res = lo_cut.analysis
     gamma0, c0, r_star = res.gamma0, res.coeff, res.approximant
-    G = lo.field
+    if lo_cut.g.field is not G:
+        gamma0 = embed_element(
+            gamma0, lo_cut.g.field.embedding_mask_into(G), G.group)
     w = delta.val()
     order = w.cmp(gamma0)
     if order > 0:
@@ -582,19 +577,23 @@ def _element_past(C: Cut, direction: int) -> FieldElement:
         out = element_in_interval(F.group.minus_inf(), B.radius.boundary)
         return B.center + F.monomial(out, direction)
     # a non-ball filler: nudge the coefficient at the obstruction scale
-    res = _filler_analysis(C.g, F)
+    res = C.analysis
     mask = F.embedding_mask_into(C.g.field)
     gF = restrict_element(res.gamma0, mask, F.group)
     s = Fraction(abs(res.coeff.floor()) + 1)
     return res.approximant + F.monomial(gF, direction * s)
 
 
-def cut_lt_witness(C1: Cut, C2: Cut,
-                   max_steps: int = DEFAULT_MAX_STEPS) -> FieldElement:
+def cut_lt_witness(C1: Cut, C2: Cut) -> FieldElement:
     """An element strictly between two cuts with C1 < C2: above C1 and
     below C2."""
     if cut_cmp(C1, C2) != LT:
         raise ValueError("witness requires strictly ordered cuts")
+    return _ordered_witness(C1, C2)
+
+
+def _ordered_witness(C1: Cut, C2: Cut) -> FieldElement:
+    """cut_lt_witness for two cuts already known to satisfy C1 < C2."""
     C1, C2 = _normal(C1), _normal(C2)
     if C1.kind == "minus_inf":
         return _element_past(C2, -1)
@@ -606,9 +605,7 @@ def cut_lt_witness(C1: Cut, C2: Cut,
         return _edge_filler_witness(C1, C2, below_filler=True)
     if C1.kind == "filler" and C2.kind == "edge":
         return _edge_filler_witness(C2, C1, below_filler=False)
-    G = _joined_field(C1, C2)
-    x = _element_between_fillers(lift(C1.g, G), lift(C2.g, G), C1.field,
-                                 max_steps)
+    x = _element_between_fillers(C1, C2, _joined_field(C1, C2))
     if x is None:
         raise AssertionError("strictly ordered filler cuts admitted no "
                              "witness")
@@ -655,15 +652,14 @@ def _edge_filler_witness(Ce: Cut, Cf: Cut, below_filler: bool
     return B.center + F.monomial(vd, s)
 
 
-def find_between(C1: Cut, C2: Cut,
-                 max_steps: int = DEFAULT_MAX_STEPS) -> FieldElement:
+def find_between(C1: Cut, C2: Cut) -> FieldElement:
     """A deterministic element a with C1 <= a- and a+ <= C2: the midpoint
     of the cut anchors when that passes the side checks, else a
     constructed witness."""
     if cut_cmp(C1, C2) != LT:
         raise ValueError("find_between requires C1 < C2")
-    a1 = _anchor(C1, max_steps)
-    a2 = _anchor(C2, max_steps)
+    a1 = _anchor(C1)
+    a2 = _anchor(C2)
     F = C1.field
     if a1 is None and a2 is None:
         cand = F.zero()
@@ -675,10 +671,10 @@ def find_between(C1: Cut, C2: Cut,
         cand = (a1 + a2) / 2
     if side_of(C1, cand) == ABOVE and side_of(C2, cand) == BELOW:
         return cand
-    return cut_lt_witness(C1, C2, max_steps)
+    return _ordered_witness(C1, C2)
 
 
-def _anchor(C: Cut, max_steps: int) -> Optional[FieldElement]:
+def _anchor(C: Cut) -> Optional[FieldElement]:
     if C.kind in ("minus_inf", "plus_inf"):
         return None
     F = C.field
@@ -689,8 +685,7 @@ def _anchor(C: Cut, max_steps: int) -> Optional[FieldElement]:
         rep = F.monomial(element_in_interval(F.group.minus_inf(),
                                              B.radius.boundary))
         return B.center + rep if C.side == UPPER else B.center - rep
-    res = approx_analysis(C.g, C.field, max_steps)
-    return res.approximant if isinstance(res, Obstructed) else None
+    return C.analysis.approximant
 
 
 # -- full ball intervals -----------------------------------------------------------

@@ -64,14 +64,13 @@ class FieldDescriptor:
     the coordinate mask injecting the smaller exponent group into the larger.
     """
 
-    __slots__ = ("name", "coeff_d", "group", "_ups", "_downs")
+    __slots__ = ("name", "coeff_d", "group", "_ups")
 
     def __init__(self, name: str, coeff_d: Optional[int], group: ValueGroup):
         self.name = name
         self.coeff_d = coeff_d
         self.group = group
         self._ups: list[tuple[FieldDescriptor, tuple]] = []
-        self._downs: list[tuple[FieldDescriptor, tuple]] = []
 
     def __repr__(self):
         k = "Q" if self.coeff_d is None else f"Q(sqrt{self.coeff_d})"
@@ -175,8 +174,14 @@ class FieldDescriptor:
 
 def _add_edge(sub: FieldDescriptor, sup: FieldDescriptor,
               mask: tuple) -> None:
+    """Record the embedding edge sub -> sup.  A coordinate injection keeps
+    the order only between lexicographic groups, from a group into an
+    equal one, or from a group of rank at most 1."""
+    a, b = sub.group, sup.group
+    if not (a.kind == b.kind == LEX or a == b or a.rank <= 1):
+        raise ValueError(f"the embedding of {sub.name} in {sup.name} would "
+                         "not preserve the order of the value groups")
     sub._ups.append((sup, mask))
-    sup._downs.append((sub, mask))
 
 
 def declare_embedding(sub: FieldDescriptor, sup: FieldDescriptor,
@@ -191,8 +196,6 @@ def declare_embedding(sub: FieldDescriptor, sup: FieldDescriptor,
     mask = check_mask(mask, sup.group)
     if len(mask) != sub.group.rank:
         raise ValueError("mask length must equal the subfield rank")
-    if sup.group.kind != LEX and sup.group is not sub.group:
-        raise ValueError("weighted groups only allow full-group subfields")
     if not (sub.coeff_d is None or sub.coeff_d == sup.coeff_d):
         raise ValueError("coefficient fields are incompatible")
     if sub.embedding_mask_into(sup) is not None:

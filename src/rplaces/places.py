@@ -22,9 +22,8 @@ from typing import Optional, Sequence, Union
 
 from .coeff import QuadExt
 from .valgroup import LOWER, UPPER, LEX, WEIGHTED, GroupElem, ValueGroup
-from .ordfield import (DEFAULT_MAX_STEPS, INF, Exhausted, FieldDescriptor,
-                       FieldElement, adjoin_infinitesimal, approx_analysis,
-                       lift, obstruction)
+from .ordfield import (DEFAULT_MAX_STEPS, INF, FieldDescriptor, FieldElement,
+                       adjoin_infinitesimal, lift, obstruction)
 from .ratfun import Poly, RatFun, _as_element, format_ratfun
 from .cuts import (Cut, cut_cmp, cut_filler_analyzed, cut_lt_witness,
                    equivalent, find_between)
@@ -486,18 +485,15 @@ def three_case_witness(place: RPlace) -> tuple:
     return case, f, val
 
 
-def _cut_anchor(C: Cut, max_steps: int) -> Optional[FieldElement]:
+def _cut_anchor(C: Cut) -> Optional[FieldElement]:
     if C.kind == "edge":
         return C.ball.center
     if C.kind == "filler":
-        res = approx_analysis(C.g, C.field, max_steps)
-        if not isinstance(res, Exhausted):
-            return res.approximant
+        return C.analysis.approximant
     return None
 
 
-def find_separating_function(C1: Cut, C2: Cut, var: str = "y",
-                             max_steps: int = DEFAULT_MAX_STEPS) -> tuple:
+def find_separating_function(C1: Cut, C2: Cut, var: str = "y") -> tuple:
     """A function whose place values differ at two inequivalent cuts,
     searched over y - c and 1/(y - c) for anchors c between and around
     the cuts.  Returns (f, value at C1, value at C2)."""
@@ -512,10 +508,10 @@ def find_separating_function(C1: Cut, C2: Cut, var: str = "y",
         if all(c.cmp(prev) != 0 for prev in anchors):
             anchors.append(c)
 
-    push(find_between(lo, hi, max_steps))
-    push(cut_lt_witness(lo, hi, max_steps))
+    push(find_between(lo, hi))
+    push(cut_lt_witness(lo, hi))
     for C in (C1, C2):
-        push(_cut_anchor(C, max_steps))
+        push(_cut_anchor(C))
     for c in list(anchors):
         push(c + 1)
         push(c - 1)

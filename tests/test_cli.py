@@ -421,6 +421,25 @@ class TestErrorCodes:
             ok(sess, line)
         assert code(sess, "restrict place P cut y") == "budget"
 
+    def test_order_queries_reuse_the_definition_budget(self):
+        # each filler analysis needs more than the default 64 steps; the
+        # cuts keep the analyses def-cut made under --max-steps 200
+        sess = Session(max_steps=200)
+        g = " + ".join(f"t^({k})" for k in range(1, 80)) + \
+            " + sqrt(2)*t^(100)"
+        for line in ("def-field R = hahn rational lex 1",
+                     "def-field R2 = extend-coeff R sqrt 2",
+                     f"def-elem g1 in R2 = {g}",
+                     f"def-elem g2 in R2 = {g} + t^(50)",
+                     "def-cut C1 in R = filler(g1, upper, over R)",
+                     "def-cut C2 in R = filler(g2, upper, over R)"):
+            ok(sess, line)
+        assert ok(sess, "cmp cut C1 C2") == {"order": "LT"}
+        assert ok(sess, "equiv C1 C2") == {"equivalent": False}
+        assert ok(sess, "between cuts C1 C2")["field"] == "R"
+        # the two cuts differ only below residue scale
+        assert code(sess, "witness separate C1 C2") == "search-failed"
+
 
 class TestGolden:
     def test_probe_output_matches_golden_file(self):

@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rplaces.cuts as cuts_module
+import rplaces.ordfield as ordfield_module
+import rplaces.places as places_module
 from rplaces.balls import Ball, ball_eq
 from rplaces.coeff import QuadExt
 from rplaces.cuts import (
@@ -20,6 +23,7 @@ from rplaces.ordfield import (
     ExpansionBudgetError, FieldDescriptor, FieldMismatchError,
     adjoin_infinitesimal, lift, obstruction,
 )
+from rplaces.places import find_separating_function
 from rplaces.valgroup import LEX, LOWER, UPPER, FinalSegment, ValueGroup
 
 Q = Fraction
@@ -214,7 +218,9 @@ class TestCutCmp:
         with pytest.raises(CutComparisonError):
             cut_cmp(C1, C2)
 
-    def test_budget_exhaustion_reported(self):
+    def test_construction_budget_is_the_only_budget(self):
+        # both analyses need more than the default 64 steps; the cuts keep
+        # the ones made under max_steps=200, and comparing never re-runs them
         R, F, rt2 = sqrt2_pair()
         x = F.zero()
         for k in range(1, 80):
@@ -223,8 +229,10 @@ class TestCutCmp:
         C1 = cut_filler(g, UPPER, R, max_steps=200)
         C2 = cut_filler(g + F.monomial(F.group.elem(50)), UPPER, R,
                         max_steps=200)
-        with pytest.raises(CutComparisonError):
-            cut_cmp(C1, C2)
+        assert cut_cmp(C1, C2) == LT
+        assert cut_cmp(C2, C1) == GT
+        w = cut_lt_witness(C1, C2)
+        assert side_of(C1, w) == ABOVE and side_of(C2, w) == BELOW
 
     def test_antisymmetry_sampled(self):
         R = rational_field()
@@ -409,6 +417,19 @@ class TestFillerPairs:
         hi = cut_filler(rt2 * t + 3 * t, UPPER, R)
         assert cut_cmp(lo, hi) == LT
         assert cut_lt_witness(lo, hi) == R.monomial(R.group.elem(1), 2)
+
+    def test_generators_from_nested_extensions(self):
+        # the lower generator's analysis lives in the smaller extension F
+        # and is read against distances measured in G
+        R, F, rt2 = sqrt2_pair()
+        G, eps = adjoin_infinitesimal(F, F.group.plus_inf())
+        t = F.monomial(F.group.elem(1))
+        lo = cut_filler(rt2 * t, UPPER, R)
+        hi = cut_filler(lift(rt2 * t + 3 * t, G) + eps, LOWER, R)
+        assert cut_cmp(lo, hi) == LT and cut_cmp(hi, lo) == GT
+        assert cut_lt_witness(lo, hi) == R.monomial(R.group.elem(1), 2)
+        same = cut_filler(lift(rt2 * t, G) + eps, LOWER, R)
+        assert cut_cmp(lo, same) == EQ and cut_cmp(same, lo) == EQ
 
     def test_coefficient_nudge_slot(self):
         R, F, rt2 = sqrt2_pair()
@@ -745,6 +766,21 @@ class TestFindBetween:
         a = find_between(cut_principal(R.zero(), UPPER), C)
         assert side_of(C, a) == BELOW and a.sign() > 0
 
+    def test_decides_the_order_once(self, monkeypatch):
+        R, F, rt2 = sqrt2_pair()
+        calls = []
+
+        def counted(C1, C2):
+            calls.append((C1, C2))
+            return cut_cmp(C1, C2)
+
+        monkeypatch.setattr(cuts_module, "cut_cmp", counted)
+        C1 = cut_principal(R.zero(), UPPER)
+        C2 = cut_filler(rt2, UPPER, R)
+        a = find_between(C1, C2)
+        assert side_of(C1, a) == ABOVE and side_of(C2, a) == BELOW
+        assert len(calls) == 1
+
     def test_side_checks_on_population(self):
         R = rational_field()
         cuts = _population(R)
@@ -828,6 +864,41 @@ def _tail_fillers(*elems):
             g = g + F.monomial(F.group.elem(*e), c)
         cuts.append(cut_filler(g, LOWER, R))
     return R, F, cuts
+
+
+class TestStoredAnalysis:
+    def test_order_operations_run_no_analysis(self, monkeypatch):
+        R, F, rt2 = sqrt2_pair()
+        E, eps = adjoin_infinitesimal(F, F.group.plus_inf())
+        C1 = cut_filler(rt2, UPPER, R)
+        C2 = cut_filler(rt2 + 3, LOWER, R)
+        Cx = cut_filler(lift(F.one(), E) + eps, UPPER, R)
+        Ce = cut_edge(Ball(R, R.const(5), seg_above(R.group, 0)), LOWER)
+        cuts = [C1, C2, Cx, Ce]
+        assert Cx.normal is not None and C1.normal is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an order operation ran an analysis")
+
+        for module in (cuts_module, places_module, ordfield_module):
+            for name in ("obstruction", "approx_analysis",
+                         "settled_analysis"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert cut_cmp(C1, C2) == LT and cut_cmp(C2, C1) == GT
+        probes = [R.const(q) for q in (-1, 1, Q(3, 2), 2, 4, 5, 6)]
+        for A in cuts:
+            for x in probes:
+                assert side_of(A, x) in (ABOVE, BELOW)
+            for B in cuts:
+                assert cut_cmp(A, B) == -cut_cmp(B, A)
+                if cut_cmp(A, B) != LT:
+                    continue
+                assert not equivalent(A, B)
+                for a in (cut_lt_witness(A, B), find_between(A, B)):
+                    assert side_of(A, a) == ABOVE and side_of(B, a) == BELOW
+        f, v1, v2 = find_separating_function(C1, C2)
+        assert v1 != v2
 
 
 class TestNormalForm:

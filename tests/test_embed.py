@@ -412,3 +412,17 @@ class TestDeclareEmbedding:
         B = FieldDescriptor("B", None, ValueGroup(LEX, 2))
         with pytest.raises(ValueError):
             declare_embedding(A, B, (0,))
+
+    def test_rejects_order_reversing_groups(self):
+        # in R, t^(1,0) > t^(0,1) because 1 < sqrt(2); a coordinate
+        # injection into a lex group would reverse the pair
+        R = FieldDescriptor("R", None, ValueGroup(WEIGHTED, 2, (1, SQRT2)))
+        G = FieldDescriptor("G", None, ValueGroup(LEX, 3))
+        with pytest.raises(ValueError, match="order"):
+            declare_embedding(R, G, (0, 1))
+        assert R.embedding_mask_into(G) is None
+        with pytest.raises(ValueError, match="order"):
+            R.extend_group("H", ValueGroup(LEX, 3), (0, 1))
+        L = FieldDescriptor("L", None, ValueGroup(LEX, 2))
+        with pytest.raises(ValueError, match="order"):
+            L.extend_group("W", ValueGroup(WEIGHTED, 2, (1, SQRT2)), (0, 1))
