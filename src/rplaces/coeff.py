@@ -6,6 +6,7 @@ from the reals.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Union
@@ -32,6 +33,7 @@ class Ordered:
         return self.cmp(other) >= 0
 
 
+@functools.lru_cache(maxsize=256)
 def _is_squarefree(n: int) -> bool:
     if n < 2:
         return False
@@ -55,8 +57,10 @@ class QuadExt(Ordered):
     def __init__(self, a: RatLike, b: RatLike = 0, d: Optional[int] = None):
         if isinstance(a, QuadExt) or isinstance(b, QuadExt):
             raise TypeError("components must be rational")
-        a = Fraction(a)
-        b = Fraction(b)
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
         if b == 0:
             d = None
         else:
@@ -91,6 +95,10 @@ class QuadExt(Ordered):
 
     def __add__(self, other: RatLike) -> "QuadExt":
         other = QuadExt.of(other)
+        if not other.b:
+            return QuadExt(self.a + other.a, self.b, self.d)
+        if not self.b:
+            return QuadExt(self.a + other.a, other.b, other.d)
         d = self._join_radicand(other)
         return QuadExt(self.a + other.a, self.b + other.b, d)
 
@@ -107,6 +115,10 @@ class QuadExt(Ordered):
 
     def __mul__(self, other: RatLike) -> "QuadExt":
         other = QuadExt.of(other)
+        if not other.b:
+            return QuadExt(self.a * other.a, self.b * other.a, self.d)
+        if not self.b:
+            return QuadExt(self.a * other.a, self.a * other.b, other.d)
         d = self._join_radicand(other)
         dd = 0 if d is None else d
         return QuadExt(
@@ -125,6 +137,8 @@ class QuadExt(Ordered):
     def inverse(self) -> "QuadExt":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if not self.b:
+            return QuadExt(1 / self.a)
         n = self.norm()
         return QuadExt(self.a / n, -self.b / n, self.d)
 
@@ -175,9 +189,18 @@ class QuadExt(Ordered):
         return (self - QuadExt.of(other)).sign()
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (int, Fraction, QuadExt)):
-            return NotImplemented
-        return self.cmp(other) == 0
+        """Componentwise equality, which is equality in the field: with d
+        squarefree, 1 and sqrt(d) are linearly independent over Q, so
+        a + b*sqrt(d) has exactly one pair (a, b).  Two irrational values
+        over different radicands raise ValueError, as their difference
+        does."""
+        if isinstance(other, QuadExt):
+            if self.b and other.b:
+                self._join_radicand(other)
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.a == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.b == 0:

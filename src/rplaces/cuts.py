@@ -330,6 +330,11 @@ def equivalent(C1: Cut, C2: Cut) -> bool:
     if order == EQ:
         return True
     lo, hi = (C1, C2) if order == LT else (C2, C1)
+    return _ordered_equivalent(lo, hi)
+
+
+def _ordered_equivalent(lo: Cut, hi: Cut) -> bool:
+    """equivalent for two cuts already known to satisfy lo < hi."""
     lo, hi = _normal(lo), _normal(hi)
     if lo.kind == "minus_inf" and hi.kind == "plus_inf":
         return True  # edges of the whole-field ball
@@ -658,6 +663,11 @@ def find_between(C1: Cut, C2: Cut) -> FieldElement:
     constructed witness."""
     if cut_cmp(C1, C2) != LT:
         raise ValueError("find_between requires C1 < C2")
+    return _ordered_between(C1, C2)
+
+
+def _ordered_between(C1: Cut, C2: Cut) -> FieldElement:
+    """find_between for two cuts already known to satisfy C1 < C2."""
     a1 = _anchor(C1)
     a2 = _anchor(C2)
     F = C1.field

@@ -327,7 +327,7 @@ class FieldElement(Ordered):
             den = HahnSum.one(field.group)
         else:
             vd, cd = den.leading()
-            if not vd.is_zero() or cd != QuadExt(1):
+            if not vd.is_zero() or cd.b or cd.a != 1:
                 inv = cd.inverse()
                 num = num.shift(-vd).scale(inv)
                 den = den.shift(-vd).scale(inv)

@@ -25,8 +25,8 @@ from .valgroup import LOWER, UPPER, LEX, WEIGHTED, GroupElem, ValueGroup
 from .ordfield import (DEFAULT_MAX_STEPS, INF, FieldDescriptor, FieldElement,
                        adjoin_infinitesimal, lift, obstruction)
 from .ratfun import Poly, RatFun, _as_element, format_ratfun
-from .cuts import (Cut, cut_cmp, cut_filler_analyzed, cut_lt_witness,
-                   equivalent, find_between)
+from .cuts import (Cut, _ordered_between, _ordered_equivalent,
+                   _ordered_witness, cut_cmp, cut_filler_analyzed)
 
 
 def _side_sign(side: int) -> int:
@@ -257,7 +257,12 @@ def _gauss_value(F: FieldDescriptor, k: FieldDescriptor, var: str,
 
 
 def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
-    """Exact value of the place at f; never approximates."""
+    """Exact value of the place at f; never approximates.
+
+    At a realized place the residue of nv/dv is read from the leading
+    terms of the two values, without forming the quotient: denominators
+    are canonical, so v(nv/dv) = v(nv) - v(dv) and the quotient's leading
+    coefficient is that of nv over that of dv."""
     if place.kind == "gauss":
         return _gauss_value(place.base, place.field, place.variables[0], f)
     if place.kind == "composed":
@@ -275,10 +280,14 @@ def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
             raise ArithmeticError("0/0: the function is indeterminate "
                                   "at this place")
         return PlaceValue.infinite()
-    r = (nv / dv).residue()
-    if r is INF:
+    if nv.is_zero():
+        return PlaceValue(QuadExt(0))
+    order = nv.val().cmp(dv.val())
+    if order < 0:
         return PlaceValue.infinite()
-    return PlaceValue(r)
+    if order > 0:
+        return PlaceValue(QuadExt(0))
+    return PlaceValue(nv.leading_coeff() / dv.leading_coeff())
 
 
 def harrison(place: RPlace, f: RatFun) -> bool:
@@ -497,9 +506,10 @@ def find_separating_function(C1: Cut, C2: Cut, var: str = "y") -> tuple:
     """A function whose place values differ at two inequivalent cuts,
     searched over y - c and 1/(y - c) for anchors c between and around
     the cuts.  Returns (f, value at C1, value at C2)."""
-    if equivalent(C1, C2):
+    order = cut_cmp(C1, C2)
+    lo, hi = (C1, C2) if order < 0 else (C2, C1)
+    if order == 0 or _ordered_equivalent(lo, hi):
         raise ValueError("equivalent cuts define the same place")
-    lo, hi = (C1, C2) if cut_cmp(C1, C2) < 0 else (C2, C1)
     anchors = []
 
     def push(c):
@@ -508,8 +518,8 @@ def find_separating_function(C1: Cut, C2: Cut, var: str = "y") -> tuple:
         if all(c.cmp(prev) != 0 for prev in anchors):
             anchors.append(c)
 
-    push(find_between(lo, hi))
-    push(cut_lt_witness(lo, hi))
+    push(_ordered_between(lo, hi))
+    push(_ordered_witness(lo, hi))
     for C in (C1, C2):
         push(_cut_anchor(C))
     for c in list(anchors):

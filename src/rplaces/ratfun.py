@@ -146,18 +146,29 @@ class Poly:
 
     def evaluate(self, assignment: dict,
                  target: Optional[FieldDescriptor] = None) -> FieldElement:
-        """Exact substitution; values may live in one extension field."""
+        """Exact substitution; values may live in one extension field.
+
+        Powers come from one table per variable, filled on demand: the
+        power e is the power e - 1 times the value, so each power costs one
+        product however many terms use it.  Denominators are canonical
+        (leading exponent 0, leading coefficient 1) and products of
+        canonical denominators are canonical, so a power is the plain
+        product of numerators over the plain product of denominators
+        whatever the order of the products: the result has the same
+        num/den representation as per-term `v ** e`."""
         values = [assignment[v] for v in self.variables]
         if target is None:
             target = reduce(FieldDescriptor.join, [v.field for v in values],
                             self.field)
-        values = [lift(v, target) for v in values]
+        powers = [[lift(v, target)] for v in values]
         total = target.zero()
         for key, c in self.terms.items():
             part = lift(c, target)
-            for v, e in zip(values, key):
+            for table, e in zip(powers, key):
                 if e:
-                    part = part * v ** e
+                    while len(table) < e:
+                        table.append(table[-1] * table[0])
+                    part = part * table[e - 1]
             total = total + part
         return total
 

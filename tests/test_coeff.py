@@ -151,3 +151,73 @@ class TestProperties:
     @given(quads(3), quads(3))
     def test_sign_multiplicative(self, x, y):
         assert (x * y).sign() == x.sign() * y.sign()
+
+
+# The general formulas the rational fast paths of QuadExt shortcut; they
+# serve as oracles, and results are compared component by component.
+
+def _ref_radicand(x, y):
+    if x.d is None:
+        return y.d
+    if y.d is None or y.d == x.d:
+        return x.d
+    raise ValueError(f"mixed radicands {x.d} and {y.d}")
+
+
+def ref_add(x, y):
+    return QuadExt(x.a + y.a, x.b + y.b, _ref_radicand(x, y))
+
+
+def ref_mul(x, y):
+    d = _ref_radicand(x, y)
+    dd = 0 if d is None else d
+    return QuadExt(x.a * y.a + x.b * y.b * dd, x.a * y.b + x.b * y.a, d)
+
+
+def ref_inverse(x):
+    n = x.norm()
+    return QuadExt(x.a / n, -x.b / n, x.d)
+
+
+def ref_eq(x, y):
+    return ref_add(x, QuadExt(-y.a, -y.b, y.d)).sign() == 0
+
+
+def parts(x):
+    return (type(x.a), x.a, type(x.b), x.b, x.d)
+
+
+rational_quads = st.builds(QuadExt, rationals)
+mixed_quads = st.one_of(rational_quads, quads())
+
+
+class TestFastPaths:
+    @given(mixed_quads, mixed_quads)
+    def test_add_and_mul_match_general_formula(self, x, y):
+        assert parts(x + y) == parts(ref_add(x, y))
+        assert parts(x * y) == parts(ref_mul(x, y))
+
+    @given(mixed_quads)
+    def test_inverse_matches_general_formula(self, x):
+        if not x.is_zero():
+            assert parts(x.inverse()) == parts(ref_inverse(x))
+
+    @given(mixed_quads, mixed_quads)
+    def test_eq_matches_sign_of_difference(self, x, y):
+        assert (x == y) == ref_eq(x, y)
+        assert x == QuadExt(x.a, x.b, x.d)
+
+    @given(rationals, rationals)
+    def test_eq_and_hash_agree_with_fraction(self, q, b):
+        assert QuadExt(q) == q and hash(QuadExt(q)) == hash(q)
+        if b:
+            assert QuadExt(q, b, 2) != q
+        n = q.numerator
+        assert QuadExt(n) == n and hash(QuadExt(n)) == hash(n)
+        assert (QuadExt(q) == n) == (q == n)
+
+    def test_eq_rejects_mixed_radicands(self):
+        with pytest.raises(ValueError):
+            QuadExt(0, 1, 2) == QuadExt(0, 1, 3)
+        assert QuadExt(1) != QuadExt(0, 1, 3)
+        assert QuadExt(0, 1, 3) != QuadExt(1, 1, 3)

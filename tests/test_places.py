@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import rplaces.cuts as cuts_module
+import rplaces.places as places_module
 from rplaces.coeff import QuadExt
 from rplaces.valgroup import LEX, LOWER, UPPER, ValueGroup
-from rplaces.ordfield import FieldDescriptor, FieldMismatchError, lift
+from rplaces.ordfield import INF, FieldDescriptor, FieldMismatchError, lift
 from rplaces.ratfun import POLE, Poly, RatFun, format_ratfun, parse_ratfun
 from rplaces.balls import Ball
 from rplaces.cuts import (cut_cmp, cut_edge, cut_filler, cut_minus_inf,
@@ -510,6 +512,85 @@ class TestRationalCompose:
             rational_place_compose([("x", F.one())], "not a place")
 
 
+def quotient_value(place, f):
+    """eval_place at a realized place through the residue of the full
+    quotient nv / dv: the reference for reading it from leading terms."""
+    nv = f.num.evaluate(place.realization, place.field)
+    dv = f.den.evaluate(place.realization, place.field)
+    if dv.is_zero():
+        if nv.is_zero():
+            raise ArithmeticError("0/0")
+        return PlaceValue.infinite()
+    r = (nv / dv).residue()
+    return PlaceValue.infinite() if r is INF else PlaceValue(r)
+
+
+def outcome(v):
+    if v.is_infinite():
+        return "inf"
+    return "zero" if v.is_zero() else "finite"
+
+
+class TestResidueFromLeadingTerms:
+    @staticmethod
+    def check(place, field, variables, texts, seed):
+        fs = [rf(text, field, variables) for text in texts]
+        rng = random.Random(seed)
+        fs += [random_ratfun(rng, field, variables) for _ in range(20)]
+        seen = set()
+        for f in fs:
+            try:
+                want = quotient_value(place, f)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError):
+                    eval_place(place, f)
+                continue
+            got = eval_place(place, f)
+            assert got == want
+            if got.is_finite():
+                assert (got.value.a, got.value.b, got.value.d) == \
+                    (want.value.a, want.value.b, want.value.d)
+            seen.add(outcome(got))
+        assert seen == {"zero", "inf", "finite"}
+
+    def test_cut_places(self):
+        R, R2, rt2 = sqrt2_pair()
+        B = Ball(R, R.zero(), R.group.seg_above(R.group.elem(2)))
+        cuts = [cut_edge(B, LOWER), cut_edge(B, UPPER),
+                cut_principal(R.const(2), UPPER), cut_filler(rt2, UPPER, R),
+                cut_filler(rt2 + 3, LOWER, R), cut_plus_inf(R),
+                cut_minus_inf(R)]
+        texts = ("y", "1/y", "y + 1", "y - 2", "1/(y - 2)", "y^2 - 2",
+                 "1/(y^2 - 2)", "(y^2 - 2)/(y - 2)", "t^(3)/y", "y/t^(3)",
+                 "(y^3 + t^(1))/(y^2 + 3)")
+        for i, C in enumerate(cuts):
+            self.check(place_from_cut(C), R, ("y",), texts, i)
+
+    def test_stacked_independent_and_composed_places(self):
+        k = constants()
+        texts = ("x/y", "y/x", "y^2/x", "x/y^2", "(x + y^2)/x",
+                 "(x + 1)/(y + 2)", "x*y", "1/(x*y)")
+        places = [
+            stacked_place(k, [("x", 0), ("y", 0)]),
+            stacked_place(k, [("y", 0), ("x", 0)]),
+            independent_place(k, [("x", 0), ("y", 0)], (1, SQRT2)),
+            independent_place(k, [("x", 0), ("y", 0)], (SQRT2, 1)),
+        ]
+        for i, P in enumerate(places):
+            self.check(P, k, ("x", "y"), texts, 100 + i)
+        K = rational_field("K")
+        zeta = ResiduePlace(K)
+        composed = [
+            rational_place_compose([("x", K.monomial(K.group.elem(1)))],
+                                   zeta),
+            rational_place_compose([("x", K.const(2))], zeta),
+        ]
+        texts = ("x^2 + 1", "x - t^(1)", "1/(x - t^(1))", "x - 2",
+                 "1/(x - 2)", "(x^2 - 4)/(x - 2)", "x/t^(1)")
+        for i, P in enumerate(composed):
+            self.check(P, K, ("x",), texts, 200 + i)
+
+
 class TestSeparatingSearch:
     def test_value_scale_pairs(self):
         R, R2, rt2 = sqrt2_pair()
@@ -527,6 +608,22 @@ class TestSeparatingSearch:
             P1, P2 = place_from_cut(C1), place_from_cut(C2)
             assert eval_place(P1, f) == v1
             assert eval_place(P2, f) == v2
+
+    def test_decides_the_order_once(self, monkeypatch):
+        R, R2, rt2 = sqrt2_pair()
+        C1 = cut_filler(rt2, UPPER, R)
+        C2 = cut_filler(rt2 + 3, LOWER, R)
+        calls = []
+
+        def counted(A, B):
+            calls.append((A, B))
+            return cut_cmp(A, B)
+
+        monkeypatch.setattr(cuts_module, "cut_cmp", counted)
+        monkeypatch.setattr(places_module, "cut_cmp", counted)
+        f, v1, v2 = find_separating_function(C1, C2)
+        assert v1 != v2
+        assert len(calls) == 1
 
     def test_equivalent_pair_rejected(self):
         R = rational_field()

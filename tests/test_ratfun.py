@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rplaces.coeff import QuadExt
-from rplaces.ordfield import FieldDescriptor, FieldMismatchError
+from rplaces.ordfield import FieldDescriptor, FieldMismatchError, lift
 from rplaces.ratfun import (
     POLE, Poly, PoleMarker, RatFun, RatFunSyntaxError, format_poly,
     format_ratfun, parse_ratfun,
@@ -190,6 +191,42 @@ class TestEval:
 
     def test_pole_is_singleton(self):
         assert PoleMarker() is POLE
+
+
+def evaluate_per_term(p, assignment, target):
+    """Poly.evaluate with a fresh `v ** e` in every term: the reference
+    the power table must reproduce representation for representation."""
+    values = [lift(assignment[v], target) for v in p.variables]
+    total = target.zero()
+    for key, c in p.terms.items():
+        part = lift(c, target)
+        for v, e in zip(values, key):
+            if e:
+                part = part * v ** e
+        total = total + part
+    return total
+
+
+class TestPowerTable:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([("y",), ("x", "y")]),
+           st.booleans())
+    def test_matches_per_term_powers(self, seed, variables, extend):
+        rng = random.Random(seed)
+        R = rational_field()
+        F = R.extend_coeff("F", 2) if extend else R
+        p = random_poly(R, rng, variables, allow_zero=True)
+        assignment = {}
+        for v in variables:
+            value = random_coeff(F, rng)
+            if extend and rng.randrange(2):
+                value = value + F.const(QuadExt(0, rng.randint(1, 3), 2))
+            assignment[v] = value
+        got = p.evaluate(assignment)
+        want = evaluate_per_term(p, assignment, F)
+        assert got.field is want.field is F
+        assert got.num.terms == want.num.terms
+        assert got.den.terms == want.den.terms
 
 
 class TestText:
