@@ -33,8 +33,15 @@ class Ordered:
         return self.cmp(other) >= 0
 
 
+# Largest radicand accepted: squarefreeness is decided by trial division up
+# to sqrt(d), so this bound caps the check at 10**6 steps.
+RADICAND_BOUND = 10 ** 12
+
+
 @functools.lru_cache(maxsize=256)
 def _is_squarefree(n: int) -> bool:
+    if n > RADICAND_BOUND:
+        raise ValueError(f"radicand {n} exceeds the bound {RADICAND_BOUND}")
     if n < 2:
         return False
     k = 2
@@ -45,11 +52,36 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+def _check_radicand(d: int) -> None:
+    if not _is_squarefree(d):
+        raise ValueError(f"radicand must be squarefree >= 2, got {d}")
+
+
+def _surd_sign(a, b, d: Optional[int]) -> int:
+    """Exact sign of a + b*sqrt(d) for rational a, b.
+
+    When a and b disagree in sign the comparison a + b*sqrt(d) <> 0 is
+    squared: the sign is that of a^2 - b^2 d carried by the dominant part.
+    Squarefreeness rules out a^2 == b^2 d for b != 0.
+    """
+    if not b:
+        return (a > 0) - (a < 0)
+    if not a:
+        return (b > 0) - (b < 0)
+    sa = 1 if a > 0 else -1
+    if (b > 0) == (sa > 0):
+        return sa
+    n = a * a - d * b * b
+    if n == 0:
+        raise ArithmeticError("squarefree radicand cannot have zero norm")
+    return sa if n > 0 else -sa
+
+
 class QuadExt(Ordered):
     """A real number a + b*sqrt(d) with a, b rational.
 
     d is either None (plain rational, b must be 0) or a squarefree integer
-    >= 2 shared by every value it is combined with.
+    from 2 to RADICAND_BOUND shared by every value it is combined with.
     """
 
     __slots__ = ("a", "b", "d")
@@ -66,8 +98,7 @@ class QuadExt(Ordered):
         else:
             if d is None:
                 raise ValueError("irrational part requires a radicand")
-            if not _is_squarefree(d):
-                raise ValueError(f"radicand must be squarefree >= 2, got {d}")
+            _check_radicand(d)
         self.a = a
         self.b = b
         self.d = d
@@ -166,24 +197,8 @@ class QuadExt(Ordered):
         return self.a == 0 and self.b == 0
 
     def sign(self) -> int:
-        """Exact sign, decided by rational arithmetic.
-
-        When a and b disagree in sign the comparison a + b*sqrt(d) <> 0 is
-        squared: the sign is that of a^2 - b^2 d carried by the dominant part.
-        Squarefreeness rules out a^2 == b^2 d for b != 0.
-        """
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return (self.b > 0) - (self.b < 0)
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        n = self.norm()  # a^2 - d b^2
-        if n == 0:
-            raise ArithmeticError("squarefree radicand cannot have zero norm")
-        return sa if n > 0 else sb
+        """Exact sign, decided by rational arithmetic."""
+        return _surd_sign(self.a, self.b, self.d)
 
     def cmp(self, other: RatLike) -> int:
         return (self - QuadExt.of(other)).sign()

@@ -7,20 +7,33 @@ which makes sign, valuation and residue read off the numerator's leading
 term: "leading" always means minimum exponent, so v(x) > 0 iff x is
 infinitesimal.
 
+A HahnSum keeps its terms in integers: exponents as int tuples at one scale
+n per sum (the key k stands for k/n, so a sum with rational exponents is a
+Laurent sum in t^(1/n)), and coefficients as integer numerators over one
+denominator q per sum, pairs (a, b) for (a + b*sqrt(d))/q when the sum has
+the radicand d.  Arithmetic runs on ints alone.  Fraction, QuadExt and
+GroupElem values are built only where terms leave a sum: leading(),
+support(), printing, and the `terms` view, which is converted anew on each
+access and so stays off hot paths.
+
 Fields are identified by descriptors that also record how they embed into
 one another; arithmetic silently lifts along a declared embedding chain and
 refuses anything else.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
-from .coeff import Ordered, QuadExt, format_coeff
+from .coeff import Ordered, QuadExt, _check_radicand, _surd_sign, format_coeff
 from .valgroup import (
-    LEX, GroupCut, GroupElem, ValueGroup, check_mask, embed_element,
-    extend_at_position, restrict_element,
+    LEX, Q0, GroupCut, GroupElem, ValueGroup, check_mask, extend_at_position,
+    restrict_element,
 )
 
 
@@ -59,7 +72,8 @@ DEFAULT_MAX_STEPS = 64
 class FieldDescriptor:
     """A field H(k; Gamma) of Hahn-sum fractions, with its embedding edges.
 
-    coeff_d: None for QQ coefficients, else the squarefree radicand d.
+    coeff_d: None for QQ coefficients, else the squarefree radicand d,
+    checked here (ValueError unless 2 <= d <= coeff.RADICAND_BOUND).
     Edges are added when subfields/extensions are declared; each edge keeps
     the coordinate mask injecting the smaller exponent group into the larger.
     """
@@ -67,6 +81,8 @@ class FieldDescriptor:
     __slots__ = ("name", "coeff_d", "group", "_ups")
 
     def __init__(self, name: str, coeff_d: Optional[int], group: ValueGroup):
+        if coeff_d is not None:
+            _check_radicand(coeff_d)
         self.name = name
         self.coeff_d = coeff_d
         self.group = group
@@ -206,112 +222,374 @@ def declare_embedding(sub: FieldDescriptor, sup: FieldDescriptor,
 
 
 class HahnSum:
-    """Finite formal sum of monomials c * t^g; exponents are coordinate
-    tuples of the group, coefficients nonzero QuadExt values."""
+    """Finite formal sum of monomials c * t^g with exponents g in the group
+    and nonzero coefficients c in Q or Q(sqrt(d)).
 
-    __slots__ = ("group", "terms")
+    Stored form: one exponent scale n >= 1, one denominator q >= 1 and at
+    most one radicand d per sum.  `_t` maps int tuples k to numerators: the
+    key k stands for the exponent k/n, and its value is an int a meaning
+    a/q or, when the sum has a radicand, a pair (a, b) meaning
+    (a + b*sqrt(d))/q.  No stored value is zero, gcd(q, all numerators) is
+    1, and a sum keeps a radicand only while some b is nonzero, so two sums
+    at one scale are equal exactly when they store the same q, d and dict.
+    Operations align the scales of their operands by lcm.  A sum carries
+    one radicand, so combining sums over two radicands raises ValueError.
+    """
+
+    __slots__ = ("group", "_n", "_q", "_d", "_t")
 
     def __init__(self, group: ValueGroup, terms: dict):
-        self.group = group
-        self.terms = terms
+        """The sum of c * t^k over a dict from rational coordinate tuples k
+        to coefficients c (QuadExt or rational)."""
+        h = HahnSum.zero(group)
+        for k, c in terms.items():
+            h = h + HahnSum.monomial(group, GroupElem(group, tuple(k)),
+                                     QuadExt.of(c))
+        self.group, self._n, self._q, self._d, self._t = \
+            group, h._n, h._q, h._d, h._t
 
     @staticmethod
     def zero(group: ValueGroup) -> "HahnSum":
-        return HahnSum(group, {})
+        return _sum(group, 1, 1, None, {})
 
     @staticmethod
     def const(group: ValueGroup, c: QuadExt) -> "HahnSum":
-        if c.is_zero():
-            return HahnSum.zero(group)
-        return HahnSum(group, {(Fraction(0),) * group.rank: c})
+        return _unit(group).scale(c)
 
     @staticmethod
     def one(group: ValueGroup) -> "HahnSum":
-        return HahnSum(group, {(Fraction(0),) * group.rank: QuadExt(1)})
+        return _unit(group)
 
     @staticmethod
     def monomial(group: ValueGroup, g: GroupElem, c: QuadExt) -> "HahnSum":
-        if c.is_zero():
-            return HahnSum.zero(group)
-        return HahnSum(group, {g.coords: c})
+        return _unit(group).scale(c).shift(g)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
+
+    @property
+    def terms(self) -> Mapping:
+        """The terms as a read-only mapping {exponent coordinates (tuple of
+        Fractions): QuadExt}.  It is built out of the stored form on each
+        access, so hot paths must not use it."""
+        return _TermsView(self)
 
     def __add__(self, other: "HahnSum") -> "HahnSum":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            acc = out.get(g)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-        return HahnSum(self.group, out)
+        if not other._t:
+            return self
+        if not self._t:
+            return other
+        n, t1, t2 = _common_scale(self, other)
+        q1, q2 = self._q, other._q
+        q = math.lcm(q1, q2)
+        d = _join_radicand(self._d, other._d)
+        t1, t2 = _times(t1, q // q1, self._d), _times(t2, q // q2, other._d)
+        if d is None:
+            out = dict(t1)
+            for k, a in t2.items():
+                s = out.get(k)
+                if s is None:
+                    out[k] = a
+                elif s + a:
+                    out[k] = s + a
+                else:
+                    del out[k]
+        else:
+            out = dict(t1) if self._d is not None else _as_pairs(t1, None)
+            for k, (a, b) in _as_pairs(t2, other._d).items():
+                s = out.get(k)
+                if s is None:
+                    out[k] = (a, b)
+                elif s[0] + a or s[1] + b:
+                    out[k] = (s[0] + a, s[1] + b)
+                else:
+                    del out[k]
+        return _reduced(self.group, n, q, d, out)
 
     def __neg__(self) -> "HahnSum":
-        return HahnSum(self.group, {g: -c for g, c in self.terms.items()})
+        return _sum(self.group, self._n, self._q, self._d,
+                    _times(self._t, -1, self._d))
 
     def __sub__(self, other: "HahnSum") -> "HahnSum":
         return self + (-other)
 
     def __mul__(self, other: "HahnSum") -> "HahnSum":
+        if not self._t or not other._t:
+            return HahnSum.zero(self.group)
+        n, t1, t2 = _common_scale(self, other)
+        d = _join_radicand(self._d, other._d)
         out: dict = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
-                g = tuple(a + b for a, b in zip(g1, g2))
-                c = c1 * c2
-                acc = out.get(g)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(g, None)
-                else:
-                    out[g] = s
-        return HahnSum(self.group, out)
+        if d is None:
+            for k1, a1 in t1.items():
+                for k2, a2 in t2.items():
+                    k = tuple(map(add, k1, k2))
+                    s = out.get(k)
+                    if s is None:
+                        out[k] = a1 * a2
+                    elif s + a1 * a2:
+                        out[k] = s + a1 * a2
+                    else:
+                        del out[k]
+        else:
+            t2 = _as_pairs(t2, other._d)
+            for k1, (a1, b1) in _as_pairs(t1, self._d).items():
+                for k2, (a2, b2) in t2.items():
+                    k = tuple(map(add, k1, k2))
+                    a = a1 * a2 + b1 * b2 * d
+                    b = a1 * b2 + b1 * a2
+                    s = out.get(k)
+                    if s is not None:
+                        a += s[0]
+                        b += s[1]
+                    if a or b:
+                        out[k] = (a, b)
+                    else:
+                        del out[k]
+        return _reduced(self.group, n, self._q * other._q, d, out)
 
     def scale(self, c: QuadExt) -> "HahnSum":
         if c.is_zero():
             return HahnSum.zero(self.group)
-        return HahnSum(self.group, {g: v * c for g, v in self.terms.items()})
+        q = math.lcm(c.a.denominator, c.b.denominator)
+        return self._times_monomial(
+            (), 1, c.a.numerator * (q // c.a.denominator),
+            c.b.numerator * (q // c.b.denominator), q, c.d)
 
     def shift(self, g: GroupElem) -> "HahnSum":
-        return HahnSum(self.group, {
-            tuple(a + b for a, b in zip(k, g.coords)): c
-            for k, c in self.terms.items()})
+        m = math.lcm(*(x.denominator for x in g.coords))
+        return self._times_monomial(_int_coords(g.coords, m), m, 1, 0, 1,
+                                    None)
+
+    def _times_monomial(self, key: tuple, m: int, a: int, b: int, c: int,
+                        d: Optional[int]) -> "HahnSum":
+        """self * (a + b*sqrt(d))/c * t^(key/m), for c > 0 and a or b
+        nonzero; the empty key stands for the exponent 0."""
+        t, n = self._t, self._n
+        if not t:
+            return self
+        if m != n:
+            big = math.lcm(n, m)
+            if big != n:
+                t = _rescaled(t, big // n)
+                n = big
+            key = tuple(x * (big // m) for x in key)
+        if any(key):
+            t = {tuple(map(add, k, key)): v for k, v in t.items()}
+        if b:
+            d = _join_radicand(self._d, d)
+            t = {k: (x * a + y * b * d, x * b + y * a)
+                 for k, (x, y) in _as_pairs(t, self._d).items()}
+        else:
+            d = self._d
+            t = _times(t, a, d)
+            if c == 1 and a in (1, -1):
+                return _sum(self.group, n, self._q, d, t)
+        return _reduced(self.group, n, self._q * c, d, t)
+
+    # -- reading terms out of the stored form -----------------------------------
+
+    def _lead_key(self) -> tuple:
+        """The stored key of the minimum exponent."""
+        surd = self.group._surd
+        if surd is None:
+            return min(self._t)
+        wa, wb, d = surd
+        best = None
+        for k in self._t:
+            a, b = sum(map(mul, k, wa)), sum(map(mul, k, wb))
+            if best is None or _surd_sign(a - ba, b - bb, d) < 0:
+                best, ba, bb = k, a, b
+        return best
+
+    def _sorted_keys(self) -> list:
+        """The stored keys by increasing exponent."""
+        surd = self.group._surd
+        if surd is None:
+            return sorted(self._t)
+        wa, wb, d = surd
+        val = {k: (sum(map(mul, k, wa)), sum(map(mul, k, wb)))
+               for k in self._t}
+        return sorted(self._t, key=cmp_to_key(lambda k1, k2: _surd_sign(
+            val[k1][0] - val[k2][0], val[k1][1] - val[k2][1], d)))
+
+    def _coords(self, key: tuple) -> tuple:
+        return tuple(Fraction(x, self._n) for x in key)
+
+    def _coeff(self, v) -> QuadExt:
+        if self._d is None:
+            return QuadExt(Fraction(v, self._q), Q0)
+        return QuadExt(Fraction(v[0], self._q), Fraction(v[1], self._q),
+                       self._d)
+
+    def _lead_sign(self) -> int:
+        v = self._t[self._lead_key()]
+        if self._d is None:
+            return 1 if v > 0 else -1
+        return _surd_sign(v[0], v[1], self._d)
+
+    def _is_monic(self) -> bool:
+        """Whether the leading term is t^0 with coefficient 1."""
+        k = self._lead_key()
+        one = self._q if self._d is None else (self._q, 0)
+        return self._t[k] == one and not any(k)
+
+    def _monic_factor(self) -> tuple:
+        """The _times_monomial arguments dividing by the leading term."""
+        k = self._lead_key()
+        v, q = self._t[k], self._q
+        if self._d is None:
+            a, b, c = q, 0, v
+        else:
+            # q/(x + y*sqrt(d)) = q*(x - y*sqrt(d))/(x^2 - d*y^2)
+            x, y = v
+            a, b, c = q * x, -q * y, x * x - self._d * y * y
+        if c < 0:
+            a, b, c = -a, -b, -c
+        return tuple(-x for x in k), self._n, a, b, c, self._d
+
+    def _embedded(self, group: ValueGroup, mask: tuple) -> "HahnSum":
+        """The sum in a bigger group, exponent coordinate i moved to
+        coordinate mask[i] (mask increasing) and zeros elsewhere."""
+        out = {}
+        for k, v in self._t.items():
+            key = [0] * group.rank
+            for x, level in zip(k, mask):
+                key[level] = x
+            out[tuple(key)] = v
+        return _sum(group, self._n, self._q, self._d, out)
 
     def leading(self) -> tuple[GroupElem, QuadExt]:
         """(minimum exponent, its coefficient); the dominant monomial."""
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero sum has no leading term")
-        if self.group.kind == LEX:
-            g = min(self.terms)
-        else:
-            elems = [self.group.elem(k) for k in self.terms]
-            g = min(elems).coords
-        return self.group.elem(g), self.terms[g]
+        k = self._lead_key()
+        return GroupElem(self.group, self._coords(k)), self._coeff(self._t[k])
 
     def support(self) -> list[GroupElem]:
-        elems = [self.group.elem(k) for k in self.terms]
-        elems.sort(key=_cmp_key(self.group))
-        return elems
+        return [GroupElem(self.group, self._coords(k))
+                for k in self._sorted_keys()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HahnSum):
             return NotImplemented
-        return self.group == other.group and self.terms == other.terms
+        _join_radicand(self._d, other._d)
+        if self.group != other.group or self._q != other._q \
+                or self._d != other._d:
+            return False
+        _, t1, t2 = _common_scale(self, other)
+        return t1 == t2
 
     def __hash__(self):
         return hash((self.group, tuple(sorted(self.terms.items(),
                                               key=lambda kv: kv[0]))))
 
     def __repr__(self):
-        return f"HahnSum({self.terms})"
+        return f"HahnSum({dict(self.terms)})"
 
 
-def _cmp_key(group: ValueGroup):
-    if group.kind == LEX:
-        return lambda e: e.coords
-    return group.real_value
+class _TermsView(Mapping):
+    """HahnSum.terms: the Fraction-keyed dict of QuadExt coefficients,
+    built on first use; its length needs no conversion."""
+
+    __slots__ = ("_h", "_dict")
+
+    def __init__(self, h: HahnSum):
+        self._h = h
+        self._dict = None
+
+    def _items(self) -> dict:
+        if self._dict is None:
+            h = self._h
+            self._dict = {h._coords(k): h._coeff(v) for k, v in h._t.items()}
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._items()[key]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return len(self._h._t)
+
+    def __repr__(self):
+        return repr(self._items())
+
+
+def _sum(group: ValueGroup, n: int, q: int, d: Optional[int],
+         t: dict) -> HahnSum:
+    """A HahnSum from its stored form, taken as it is."""
+    h = object.__new__(HahnSum)
+    h.group, h._n, h._q, h._d, h._t = group, n, q, d, t
+    return h
+
+
+def _reduced(group: ValueGroup, n: int, q: int, d: Optional[int],
+             t: dict) -> HahnSum:
+    """A HahnSum from numerators without zeros over q: the radicand goes
+    when no value has an irrational part, then gcd(q, numerators) is
+    divided out."""
+    if d is not None and not any(b for _, b in t.values()):
+        d, t = None, {k: a for k, (a, _) in t.items()}
+    g = q
+    if d is None:
+        for a in t.values():
+            if g == 1:
+                break
+            g = math.gcd(g, a)
+        if g != 1:
+            t = {k: a // g for k, a in t.items()}
+    else:
+        for a, b in t.values():
+            if g == 1:
+                break
+            g = math.gcd(g, a, b)
+        if g != 1:
+            t = {k: (a // g, b // g) for k, (a, b) in t.items()}
+    return _sum(group, n, q // g, d, t)
+
+
+def _unit(group: ValueGroup) -> HahnSum:
+    return _sum(group, 1, 1, None, {(0,) * group.rank: 1})
+
+
+def _int_coords(coords, n: int) -> tuple:
+    """Integer keys of rational coordinates at the exponent scale n."""
+    return tuple(x.numerator * (n // x.denominator) for x in coords)
+
+
+def _rescaled(t: dict, f: int) -> dict:
+    return {tuple(x * f for x in k): v for k, v in t.items()}
+
+
+def _common_scale(x: HahnSum, y: HahnSum) -> tuple:
+    """(n, x's terms, y's terms) with both keyed at the scale n."""
+    if x._n == y._n:
+        return x._n, x._t, y._t
+    n = math.lcm(x._n, y._n)
+    return n, _rescaled(x._t, n // x._n), _rescaled(y._t, n // y._n)
+
+
+def _times(t: dict, f: int, d: Optional[int]) -> dict:
+    """The values of t, numerators of a sum with radicand d, times f."""
+    if f == 1:
+        return t
+    if d is None:
+        return {k: a * f for k, a in t.items()}
+    return {k: (a * f, b * f) for k, (a, b) in t.items()}
+
+
+def _as_pairs(t: dict, d: Optional[int]) -> dict:
+    """The values of t, numerators of a sum with radicand d, as pairs."""
+    return {k: (a, 0) for k, a in t.items()} if d is None else t
+
+
+def _join_radicand(d1: Optional[int], d2: Optional[int]) -> Optional[int]:
+    if d1 is None or d1 == d2:
+        return d2
+    if d2 is None:
+        return d1
+    raise ValueError(f"mixed radicands {d1} and {d2}")
 
 
 class FieldElement(Ordered):
@@ -325,12 +603,10 @@ class FieldElement(Ordered):
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = HahnSum.one(field.group)
-        else:
-            vd, cd = den.leading()
-            if not vd.is_zero() or cd.b or cd.a != 1:
-                inv = cd.inverse()
-                num = num.shift(-vd).scale(inv)
-                den = den.shift(-vd).scale(inv)
+        elif not den._is_monic():
+            f = den._monic_factor()
+            num = num._times_monomial(*f)
+            den = den._times_monomial(*f)
         self.field = field
         self.num = num
         self.den = den
@@ -404,7 +680,7 @@ class FieldElement(Ordered):
     def sign(self) -> int:
         if self.num.is_zero():
             return 0
-        return self.num.leading()[1].sign()
+        return self.num._lead_sign()
 
     def cmp(self, other) -> int:
         x, y = self._pair(other)
@@ -428,23 +704,25 @@ class FieldElement(Ordered):
         """Leading-exponent valuation; v(0) = inf."""
         if self.num.is_zero():
             return INF
-        return self.num.leading()[0]  # den leading exponent is 0
+        h = self.num  # den leading exponent is 0
+        return GroupElem(h.group, h._coords(h._lead_key()))
 
     def leading_coeff(self) -> QuadExt:
         if self.num.is_zero():
             return QuadExt(0)
-        return self.num.leading()[1]
+        h = self.num
+        return h._coeff(h._t[h._lead_key()])
 
     def residue(self) -> Union[QuadExt, _Infinity]:
         if self.num.is_zero():
             return QuadExt(0)
-        v = self.num.leading()[0]
+        v, c = self.num.leading()
         s = v.sign()
         if s < 0:
             return INF
         if s > 0:
             return QuadExt(0)
-        return self.num.leading()[1]
+        return c
 
     # -- expansion -------------------------------------------------------------------
 
@@ -478,8 +756,7 @@ class FieldElement(Ordered):
         if self.num.is_zero():
             return "0"
         num = _format_sum(self.num)
-        if len(self.den.terms) == 1 and not self.den.is_zero() \
-                and self.den.leading()[0].is_zero():
+        if len(self.den._t) == 1:  # canonical, so the denominator is 1
             return num
         return f"({num})/({_format_sum(self.den)})"
 
@@ -506,8 +783,8 @@ def _format_monomial(coords: tuple, c: QuadExt) -> str:
 
 def _format_sum(h: HahnSum) -> str:
     parts = []
-    for g in h.support():
-        s = _format_monomial(g.coords, h.terms[g.coords])
+    for k in h._sorted_keys():
+        s = _format_monomial(h._coords(k), h._coeff(h._t[k]))
         if parts and not s.startswith("-"):
             parts.append("+" + s)
         else:
@@ -524,14 +801,9 @@ def lift(x: FieldElement, big: FieldDescriptor) -> FieldElement:
         raise FieldMismatchError(
             f"{x.field.name} does not embed in {big.name}")
 
-    def move(h: HahnSum) -> HahnSum:
-        out = {}
-        for k, c in h.terms.items():
-            g = embed_element(x.field.group.elem(k), mask, big.group)
-            out[g.coords] = c
-        return HahnSum(big.group, out)
-
-    return FieldElement(big, move(x.num), move(x.den))
+    mask = check_mask(mask, big.group)
+    return FieldElement(big, x.num._embedded(big.group, mask),
+                        x.den._embedded(big.group, mask))
 
 
 def adjoin_infinitesimal(F: FieldDescriptor, at: GroupCut, sign: int = 1,

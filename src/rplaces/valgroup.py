@@ -18,6 +18,7 @@ S = {g : g > boundary}.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -41,7 +42,7 @@ def side_name(side: int) -> str:
 class ValueGroup:
     """Exponent group descriptor.  Immutable."""
 
-    __slots__ = ("kind", "rank", "weights")
+    __slots__ = ("kind", "rank", "weights", "_surd")
 
     def __init__(self, kind: str, rank: int,
                  weights: Optional[Sequence[QuadExt]] = None):
@@ -65,10 +66,19 @@ class ValueGroup:
                         raise ValueError(
                             f"weights {i} and {j} are rationally dependent")
             self.weights = weights
+            # the weights as a_i + b_i*sqrt(d) over one positive integer
+            # denominator, which it drops: sum k_i*(a_i + b_i*sqrt(d))
+            # orders integer coordinate tuples k like the real values
+            den = math.lcm(*(q.denominator for w in weights
+                             for q in (w.a, w.b)))
+            d = next((w.d for w in weights if w.d is not None), None)
+            self._surd = (tuple(int(w.a * den) for w in weights),
+                          tuple(int(w.b * den) for w in weights), d)
         else:
             if weights is not None:
                 raise ValueError("lexicographic groups take no weights")
             self.weights = None
+            self._surd = None
         self.kind = kind
         self.rank = rank
 

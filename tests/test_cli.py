@@ -398,6 +398,14 @@ class TestErrorCodes:
         sess = session()
         assert code(sess, "def-field X = subfield F mask (5)") == "domain"
 
+    @pytest.mark.parametrize("d", ["4", "1", "0", "-3", "1000000000039"])
+    def test_radicand_refused_when_the_field_is_declared(self, d):
+        sess = session()
+        assert code(sess, f"def-field X = hahn sqrt {d} lex 1") == "domain"
+        assert code(sess, f"def-field X = extend-coeff R sqrt {d}") == "domain"
+        assert "X" not in sess.fields
+        ok(sess, "def-field X = hahn sqrt 1000003 lex 1")
+
     def test_type(self):
         sess = session()
         ok(sess, "def-place Z1 = residue R")

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rplaces.coeff import QuadExt, format_coeff, rational_below, rational_between
+from rplaces.coeff import (
+    RADICAND_BOUND, QuadExt, format_coeff, rational_below, rational_between,
+)
 
 Q = Fraction
 
@@ -66,6 +68,12 @@ class TestArithmetic:
             QuadExt(0, 1, 4)
         with pytest.raises(ValueError):
             QuadExt(0, 1, 12)
+
+    def test_radicand_above_the_bound_refused_before_trial_division(self):
+        big = RADICAND_BOUND + 39  # squarefree: 10^12 + 39 is prime
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            QuadExt(0, 1, big)
+        assert QuadExt(0, 1, 1000003).sign() == 1
 
     def test_pow(self):
         x = quad(1, 1)  # 1 + sqrt(2)

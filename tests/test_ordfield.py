@@ -9,10 +9,10 @@ import pytest
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import (
     DEFAULT_MAX_STEPS, INF, Exhausted, ExpansionBudgetError, FieldDescriptor,
-    FieldMismatchError, HahnSum, InSubfield, Obstructed, adjoin_infinitesimal,
-    approx_analysis, element_in_subfield, lift,
+    FieldElement, FieldMismatchError, HahnSum, InSubfield, Obstructed,
+    adjoin_infinitesimal, approx_analysis, element_in_subfield, lift,
 )
-from rplaces.valgroup import LEX, ValueGroup
+from rplaces.valgroup import LEX, WEIGHTED, ValueGroup
 
 Q = Fraction
 
@@ -80,6 +80,31 @@ class TestArithmetic:
         assert lead.is_zero() and c == QuadExt(1)
         assert x.cmp((1 + t) / 2) == 0
 
+    @pytest.mark.parametrize("group", [
+        ValueGroup(LEX, 1), ValueGroup(WEIGHTED, 2, (1, QuadExt.sqrt(2)))])
+    def test_canonical_denominator_is_read_from_the_stored_form(
+            self, group, monkeypatch):
+        """An element whose denominator is already canonical is built
+        without reading a leading term or making a group element."""
+        F = FieldDescriptor("Fc", 2, group)
+        g = group.elem(*[Fraction(1, 2)] * group.rank)
+        num = HahnSum.monomial(group, g, QuadExt(3)) + HahnSum.one(group)
+        den = HahnSum.one(group) + HahnSum.monomial(group, g,
+                                                    QuadExt.sqrt(2))
+        calls = []
+        leading, elem = HahnSum.leading, ValueGroup.elem
+        monkeypatch.setattr(HahnSum, "leading", lambda self: (
+            calls.append("leading"), leading(self))[1])
+        monkeypatch.setattr(ValueGroup, "elem", lambda self, *c: (
+            calls.append("elem"), elem(self, *c))[1])
+        x = FieldElement(F, num, den)
+        assert calls == [] and x.num is num and x.den is den
+        y = FieldElement(F, num, den.scale(QuadExt(1, 1, 2)))
+        assert calls == []
+        monkeypatch.undo()
+        assert y.den.leading() == (group.zero(), QuadExt(1))
+        assert y == x / QuadExt(1, 1, 2)
+
     def test_pow_and_inverse(self):
         F = rank1_field()
         t = F.monomial(F.group.elem(1))
@@ -126,6 +151,13 @@ class TestCoercionAndLifting:
         B = rank1_field("B")
         with pytest.raises(FieldMismatchError):
             A.one() + B.one()
+
+    @pytest.mark.parametrize("d", [4, 1, 0, -3, 10 ** 12 + 39])
+    def test_radicand_checked_when_the_field_is_declared(self, d):
+        with pytest.raises(ValueError):
+            FieldDescriptor("Fd", d, ValueGroup(LEX, 1))
+        with pytest.raises(ValueError):
+            rank1_field().extend_coeff("Fd", d)
 
     def test_coeff_outside_field(self):
         F = rank1_field()
