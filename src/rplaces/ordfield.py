@@ -78,7 +78,7 @@ class FieldDescriptor:
     the coordinate mask injecting the smaller exponent group into the larger.
     """
 
-    __slots__ = ("name", "coeff_d", "group", "_ups")
+    __slots__ = ("name", "coeff_d", "group", "_ups", "_zero", "_one")
 
     def __init__(self, name: str, coeff_d: Optional[int], group: ValueGroup):
         if coeff_d is not None:
@@ -87,6 +87,7 @@ class FieldDescriptor:
         self.coeff_d = coeff_d
         self.group = group
         self._ups: list[tuple[FieldDescriptor, tuple]] = []
+        self._zero = self._one = None
 
     def __repr__(self):
         k = "Q" if self.coeff_d is None else f"Q(sqrt{self.coeff_d})"
@@ -139,21 +140,14 @@ class FieldDescriptor:
     # -- embedding lookup -------------------------------------------------------
 
     def embedding_mask_into(self, other: "FieldDescriptor") -> Optional[tuple]:
-        """Coordinate mask of the declared embedding chain self -> other."""
-        if other is self:
-            return tuple(range(self.group.rank))
-        seen = {id(self)}
-        frontier = [(self, tuple(range(self.group.rank)))]
-        while frontier:
-            field, mask = frontier.pop()
-            for sup, edge_mask in field._ups:
-                comp = tuple(edge_mask[i] for i in mask)
-                if sup is other:
-                    return comp
-                if id(sup) not in seen:
-                    seen.add(id(sup))
-                    frontier.append((sup, comp))
-        return None
+        """Coordinate mask of the declared embedding chain self -> other,
+        remembered per pair until the next edge is declared."""
+        pair = (self, other)
+        try:
+            return _MASKS[pair]
+        except KeyError:
+            mask = _MASKS[pair] = _mask_search(self, other)
+            return mask
 
     def join(self, other: "FieldDescriptor") -> "FieldDescriptor":
         """The larger of two fields when a declared embedding chain leads
@@ -168,10 +162,17 @@ class FieldDescriptor:
             f"no declared embedding relates {self.name} and {other.name}")
 
     def zero(self) -> "FieldElement":
-        return self.const(0)
+        """The field's zero, built on first use; elements are immutable,
+        so every caller shares it."""
+        if self._zero is None:
+            self._zero = self.const(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.const(1)
+        """The field's one, built on first use and shared like zero()."""
+        if self._one is None:
+            self._one = self.const(1)
+        return self._one
 
     def const(self, c) -> "FieldElement":
         c = QuadExt.of(c)
@@ -188,6 +189,31 @@ class FieldDescriptor:
                             HahnSum.one(self.group))
 
 
+# (sub, sup) -> embedding_mask_into's answer.  A new edge can turn a None
+# into a mask and change which chain the search meets first, so
+# _add_edge empties all of it; until then it keeps the fields it names.
+_MASKS: dict = {}
+
+
+def _mask_search(sub: FieldDescriptor,
+                 sup: FieldDescriptor) -> Optional[tuple]:
+    """Depth-first search of the declared edges for a chain sub -> sup."""
+    if sup is sub:
+        return tuple(range(sub.group.rank))
+    seen = {id(sub)}
+    frontier = [(sub, tuple(range(sub.group.rank)))]
+    while frontier:
+        field, mask = frontier.pop()
+        for up, edge_mask in field._ups:
+            comp = tuple(edge_mask[i] for i in mask)
+            if up is sup:
+                return comp
+            if id(up) not in seen:
+                seen.add(id(up))
+                frontier.append((up, comp))
+    return None
+
+
 def _add_edge(sub: FieldDescriptor, sup: FieldDescriptor,
               mask: tuple) -> None:
     """Record the embedding edge sub -> sup.  A coordinate injection keeps
@@ -198,6 +224,7 @@ def _add_edge(sub: FieldDescriptor, sup: FieldDescriptor,
         raise ValueError(f"the embedding of {sub.name} in {sup.name} would "
                          "not preserve the order of the value groups")
     sub._ups.append((sup, mask))
+    _MASKS.clear()
 
 
 def declare_embedding(sub: FieldDescriptor, sup: FieldDescriptor,

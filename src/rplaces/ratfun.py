@@ -6,6 +6,15 @@ are the transcendentals a place realizes.  Fractions are never
 gcd-reduced, only normalized so the denominator's leading coefficient is
 one.  Substitution is exact and reports a pole instead of dividing by
 zero.
+
+Invariant: a Poly's terms map int exponent tuples, one entry per variable,
+to nonzero elements of its field.  The public constructor checks and
+converts its input; arithmetic results keep the invariant by construction
+and are built through `_poly` without re-checking.  Polys, RatFuns and
+their coefficients are never changed after they are built, so results may
+share terms (and whole operands) with their inputs.  A coefficient c is
+the unit exactly when its stored num and den agree (`_is_unit`): the
+denominator is canonical, so this is c == 1 without a subtraction.
 """
 from __future__ import annotations
 
@@ -43,8 +52,20 @@ def _as_element(field: FieldDescriptor, c) -> FieldElement:
     return field.const(c)
 
 
+def _is_unit(c: FieldElement) -> bool:
+    """c == 1, read from the stored form: den is canonical, so c is one
+    exactly when its numerator and denominator sums are equal."""
+    return c.num == c.den
+
+
 class Poly:
-    """Finite map from exponent tuples to nonzero coefficients."""
+    """Finite map from exponent tuples to nonzero coefficients.
+
+    `terms` maps int tuples of length len(variables), all entries >= 0, to
+    nonzero elements of `field`.  `Poly(...)` validates and converts its
+    input; the arithmetic below builds its results through `_poly`, which
+    takes terms already in this form.  A Poly is never changed after it is
+    built, so results may share terms, or be one of the operands."""
 
     __slots__ = ("field", "variables", "terms")
 
@@ -67,8 +88,11 @@ class Poly:
     @staticmethod
     def const(field: FieldDescriptor, variables: Sequence[str],
               c) -> "Poly":
-        zero = (0,) * len(tuple(variables))
-        return Poly(field, variables, {zero: c})
+        variables = tuple(variables)
+        c = _as_element(field, c)
+        if c.is_zero():
+            return _poly(field, variables, {})
+        return _poly(field, variables, {(0,) * len(variables): c})
 
     @staticmethod
     def var(field: FieldDescriptor, variables: Sequence[str],
@@ -77,7 +101,7 @@ class Poly:
         if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
         key = tuple(1 if v == name else 0 for v in variables)
-        return Poly(field, variables, {key: field.one()})
+        return _poly(field, variables, {key: field.one()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -101,13 +125,13 @@ class Poly:
         out = dict(a.terms)
         for k, c in b.terms.items():
             out[k] = out[k] + c if k in out else c
-        return Poly(self.field, self.variables, out)
+        return _poly(self.field, self.variables, _nonzero(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, self.variables,
-                    {k: -c for k, c in self.terms.items()})
+        return _poly(self.field, self.variables,
+                     {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         a, b = self._pair(other)
@@ -118,20 +142,24 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         a, b = self._pair(other)
+        if _is_one(a, stored=True):
+            return b
+        if _is_one(b, stored=True):
+            return a
         out: dict = {}
         for k1, c1 in a.terms.items():
             for k2, c2 in b.terms.items():
                 k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
-        return Poly(self.field, self.variables, out)
+        return _poly(self.field, self.variables, _nonzero(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(self.field, self.variables, 1)
+        out = Poly.const(self.field, self.variables, self.field.one())
         base = self
         while n:
             if n & 1:
@@ -141,8 +169,11 @@ class Poly:
         return out
 
     def scale(self, c: FieldElement) -> "Poly":
-        return Poly(self.field, self.variables,
-                    {k: v * c for k, v in self.terms.items()})
+        c = _as_element(self.field, c)
+        if c.is_zero():
+            return _poly(self.field, self.variables, {})
+        return _poly(self.field, self.variables,
+                     {k: v * c for k, v in self.terms.items()})
 
     def evaluate(self, assignment: dict,
                  target: Optional[FieldDescriptor] = None) -> FieldElement:
@@ -187,9 +218,34 @@ class Poly:
         return f"<poly {format_poly(self)}>"
 
 
+def _poly(field: FieldDescriptor, variables: tuple, terms: dict) -> Poly:
+    """A Poly from terms already in its invariant form, taken as they
+    are."""
+    p = object.__new__(Poly)
+    p.field, p.variables, p.terms = field, variables, terms
+    return p
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if not c.is_zero()}
+
+
+def _is_one(p: Poly, stored: bool = False) -> bool:
+    """p is the constant polynomial 1.  With `stored`, its coefficient is
+    also stored as 1/1 (a canonical denominator with one term is 1), so a
+    product with p leaves every representation as it is: a unit stored as
+    (1 + t)/(1 + t) would multiply out into the other factor's terms."""
+    if len(p.terms) != 1:
+        return False
+    (key, c), = p.terms.items()
+    return not any(key) and _is_unit(c) and \
+        (not stored or len(c.den.terms) == 1)
+
+
 class RatFun:
     """Quotient of two polynomials, denominator monic at its leading
-    exponent tuple."""
+    exponent tuple (decided by `_is_unit`, without field arithmetic).
+    Like Poly, a RatFun is never changed after it is built."""
 
     __slots__ = ("num", "den")
 
@@ -198,8 +254,8 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         c = den.terms[den.lead_key()]
-        if not (c - num.field.one()).is_zero():
-            inv = 1 / c
+        if not _is_unit(c):
+            inv = c.inverse()
             num = num.scale(inv)
             den = den.scale(inv)
         self.num = num
@@ -209,13 +265,13 @@ class RatFun:
     def const(field: FieldDescriptor, variables: Sequence[str],
               c) -> "RatFun":
         return RatFun(Poly.const(field, variables, c),
-                      Poly.const(field, variables, 1))
+                      Poly.const(field, variables, field.one()))
 
     @staticmethod
     def var(field: FieldDescriptor, variables: Sequence[str],
             name: str) -> "RatFun":
         return RatFun(Poly.var(field, variables, name),
-                      Poly.const(field, variables, 1))
+                      Poly.const(field, variables, field.one()))
 
     @property
     def field(self) -> FieldDescriptor:
@@ -269,7 +325,7 @@ class RatFun:
             if self.num.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RatFun(self.den, self.num) ** (-n)
-        out = RatFun.const(self.field, self.variables, 1)
+        out = RatFun.const(self.field, self.variables, self.field.one())
         base = self
         while n:
             if n & 1:
@@ -362,7 +418,7 @@ def format_poly(p: Poly) -> str:
 
 def format_ratfun(f: RatFun) -> str:
     num = format_poly(f.num)
-    if f.den == Poly.const(f.field, f.variables, 1):
+    if _is_one(f.den):
         return num
     return f"({num})/({format_poly(f.den)})"
 
@@ -539,7 +595,10 @@ class _Parser:
         top = int(self.take("num")[1])
         if self.peek()[0] == "/":
             self.take()
-            return Fraction(sign * top, int(self.take("num")[1]))
+            _, text, at = self.take("num")
+            if int(text) == 0:
+                raise RatFunSyntaxError("zero denominator in an exponent", at)
+            return Fraction(sign * top, int(text))
         return Fraction(sign * top)
 
     def signed_int(self) -> int:

@@ -406,6 +406,16 @@ class TestErrorCodes:
         assert "X" not in sess.fields
         ok(sess, "def-field X = hahn sqrt 1000003 lex 1")
 
+    def test_zero_denominator_in_an_exponent_is_a_syntax_error(self):
+        sess = Session()
+        for line in ("def-field F = hahn rational lex 1",
+                     "def-cut C in F = 0+",
+                     "def-place G = from-cut C var y"):
+            ok(sess, line)
+        assert code(sess, "def-elem a in F = t^(1/0)") == "syntax"
+        assert code(sess, "eval G t^(1/0)") == "syntax"
+        assert "a" not in sess.elems
+
     def test_type(self):
         sess = session()
         ok(sess, "def-place Z1 = residue R")

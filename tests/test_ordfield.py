@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import (
     DEFAULT_MAX_STEPS, INF, Exhausted, ExpansionBudgetError, FieldDescriptor,
     FieldElement, FieldMismatchError, HahnSum, InSubfield, Obstructed,
-    adjoin_infinitesimal, approx_analysis, element_in_subfield, lift,
+    _mask_search, adjoin_infinitesimal, approx_analysis, declare_embedding,
+    element_in_subfield, lift,
 )
 from rplaces.valgroup import LEX, WEIGHTED, ValueGroup
 
@@ -163,6 +165,61 @@ class TestCoercionAndLifting:
         F = rank1_field()
         with pytest.raises(ValueError):
             F.const(QuadExt.sqrt(2))
+
+
+def grow_tower(fields: list, rng: random.Random, i: int) -> None:
+    """One random declaration: a subfield, a coefficient or group
+    extension, or an explicit embedding between two existing fields (which
+    may close a diamond).  Declarations the library refuses are skipped."""
+    F = rng.choice(fields)
+    r = F.group.rank
+    kind = rng.randrange(4)
+    try:
+        if kind == 0:
+            fields.append(F.subfield(
+                f"S{i}", mask=rng.sample(range(r), rng.randint(0, r))))
+        elif kind == 1:
+            fields.append(F.extend_coeff(f"C{i}", F.coeff_d or 2))
+        elif kind == 2:
+            big = ValueGroup(LEX, r + rng.randint(1, 2))
+            fields.append(F.extend_group(
+                f"G{i}", big, mask=rng.sample(range(big.rank), r)))
+        else:
+            sup = rng.choice(fields)
+            if sup.group.rank >= r:
+                declare_embedding(F, sup, rng.sample(range(sup.group.rank), r))
+    except ValueError:
+        pass
+
+
+def assert_masks_match_the_search(fields: list) -> None:
+    for _ in range(2):            # the second round reads the memo
+        for a in fields:
+            for b in fields:
+                assert a.embedding_mask_into(b) == _mask_search(a, b)
+
+
+class TestEmbeddingMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_memo_matches_the_search_as_edges_are_added(self, seed):
+        rng = random.Random(seed)
+        base = ValueGroup(LEX, rng.randint(1, 2))
+        fields = [FieldDescriptor("B", None, base)]
+        for i in range(10):
+            assert_masks_match_the_search(fields)
+            grow_tower(fields, rng, i)
+        assert_masks_match_the_search(fields)
+
+    def test_declared_diamond_replaces_a_remembered_none(self):
+        A = rank1_field("A")
+        B = A.extend_coeff("B", 2)
+        C = A.extend_group("C", ValueGroup(LEX, 2), mask=(1,))
+        D = C.extend_coeff("D", 2)
+        assert B.embedding_mask_into(D) is None
+        declare_embedding(B, D, (1,))
+        assert B.embedding_mask_into(D) == _mask_search(B, D) == (1,)
+        assert A.embedding_mask_into(D) == (1,)
 
 
 class TestExpansion:

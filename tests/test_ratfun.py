@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rplaces.coeff import QuadExt
-from rplaces.ordfield import FieldDescriptor, FieldMismatchError, lift
+from rplaces.ordfield import (
+    FieldDescriptor, FieldElement, FieldMismatchError, lift,
+)
 from rplaces.ratfun import (
     POLE, Poly, PoleMarker, RatFun, RatFunSyntaxError, format_poly,
     format_ratfun, parse_ratfun,
@@ -301,3 +303,299 @@ class TestText:
         except RatFunSyntaxError as e:
             err = e
         assert err is not None and err.position == 4
+
+    def test_zero_exponent_denominator(self):
+        R = rational_field()
+        for text, at in (("t^(1/0)", 5), ("y + t^(-2/0)", 10)):
+            with pytest.raises(RatFunSyntaxError) as info:
+                parse_ratfun(text, R, ("y",))
+            assert info.value.position == at
+
+
+# -- fast paths against the validating constructor --------------------------
+#
+# The arithmetic builds its results without re-checking them; these
+# references rebuild each operation the slow way, through the public
+# Poly(...) and with the unit decided by a field subtraction.
+
+def ref_const(F, vs, c):
+    return Poly(F, vs, {(0,) * len(vs): c})
+
+
+def ref_var(F, vs, name):
+    return Poly(F, vs, {tuple(int(v == name) for v in vs): F.const(1)})
+
+
+def ref_add(a, b):
+    out = dict(a.terms)
+    for k, c in b.terms.items():
+        out[k] = out[k] + c if k in out else c
+    return Poly(a.field, a.variables, out)
+
+
+def ref_neg(a):
+    return Poly(a.field, a.variables, {k: -c for k, c in a.terms.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return Poly(a.field, a.variables, out)
+
+
+def ref_scale(a, c):
+    return Poly(a.field, a.variables, {k: v * c for k, v in a.terms.items()})
+
+
+def ref_pow(a, n):
+    out = ref_const(a.field, a.variables, 1)
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_ratfun(num, den):
+    """(num, den) normalised as RatFun does, with the unit test done by
+    subtracting one."""
+    c = den.terms[den.lead_key()]
+    if not (c - num.field.const(1)).is_zero():
+        inv = 1 / c
+        num, den = ref_scale(num, inv), ref_scale(den, inv)
+    return num, den
+
+
+def ref_rat_add(f, g):
+    return ref_ratfun(ref_add(ref_mul(f[0], g[1]), ref_mul(g[0], f[1])),
+                      ref_mul(f[1], g[1]))
+
+
+def ref_rat_mul(f, g):
+    return ref_ratfun(ref_mul(f[0], g[0]), ref_mul(f[1], g[1]))
+
+
+def ref_rat_pow(f, n):
+    if n < 0:
+        f, n = ref_ratfun(f[1], f[0]), -n
+    num, den = f[0], f[1]
+    out = ref_ratfun(ref_const(num.field, num.variables, 1),
+                     ref_const(num.field, num.variables, 1))
+    for _ in range(n):
+        out = ref_rat_mul(out, (num, den))
+    return out
+
+
+def sum_form(h):
+    return h.group, h._d, dict(h.terms)
+
+
+def stored(p):
+    """A Poly's stored form, coefficient by coefficient: the terms of each
+    numerator and denominator sum, and the keys with their types.  Equal
+    coefficients stored as different fractions compare unequal."""
+    return p.field, p.variables, {
+        tuple((type(e), e) for e in k): (c.field, sum_form(c.num),
+                                         sum_form(c.den))
+        for k, c in p.terms.items()}
+
+
+def assert_invariant(p):
+    for k, c in p.terms.items():
+        assert type(k) is tuple and len(k) == len(p.variables)
+        assert all(type(e) is int and e >= 0 for e in k)
+        assert c.field is p.field and not c.is_zero()
+
+
+def assert_same_ratfun(f, ref):
+    assert_invariant(f.num)
+    assert_invariant(f.den)
+    assert stored(f.num) == stored(ref[0])
+    assert stored(f.den) == stored(ref[1])
+
+
+def field_of(kind):
+    if kind == "Q":
+        return rational_field()
+    if kind == "Q(sqrt 2)":
+        return rational_field().extend_coeff("R2", 2)
+    return FieldDescriptor("F2", None, ValueGroup(LEX, 2))
+
+
+def coeff_in(F, rng):
+    """A random nonzero element of F: monomials, sums and quotients, with
+    sqrt(2) coefficients when F has them."""
+    def mono():
+        g = F.group.elem(*(Q(rng.randint(-3, 3), rng.randint(1, 2))
+                           for _ in range(F.group.rank)))
+        c = Q(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+        if F.coeff_d is not None and rng.randrange(2):
+            c = QuadExt(c, rng.randint(-2, 2), F.coeff_d)
+        return F.monomial(g, c)
+    kind = rng.randrange(4)
+    if kind == 0:
+        x = F.const(Q(rng.randint(-9, 9) or 1, rng.randint(1, 5)))
+    elif kind == 1:
+        x = mono()
+    elif kind == 2:
+        x = mono() + mono()
+    else:
+        x = (F.one() + mono()) / (F.const(rng.randint(1, 4)) + mono() ** 2)
+    return F.one() if x.is_zero() else x
+
+
+def poly_in(F, rng, vs, allow_zero=True, most=3):
+    terms = {}
+    for _ in range(rng.randint(0 if allow_zero else 1, most)):
+        terms[tuple(rng.randint(0, 3) for _ in vs)] = coeff_in(F, rng)
+    if rng.randrange(3) == 0:            # a bare variable: coefficient 1
+        return ref_add(Poly(F, vs, terms), ref_var(F, vs, rng.choice(vs)))
+    return Poly(F, vs, terms)
+
+
+FIELD_KINDS = st.sampled_from(["Q", "Q(sqrt 2)", "lex 2"])
+VARIABLES = st.sampled_from([("y",), ("x", "y")])
+
+
+class TestTrustedResults:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), FIELD_KINDS, VARIABLES)
+    def test_poly_ops_match_the_validating_constructor(self, seed, kind, vs):
+        rng = random.Random(seed)
+        F = field_of(kind)
+        a, b = poly_in(F, rng, vs), poly_in(F, rng, vs)
+        c = coeff_in(F, rng)
+        cases = [
+            (a + b, ref_add(a, b)),
+            (a - b, ref_add(a, ref_neg(b))),
+            (-a, ref_neg(a)),
+            (a * b, ref_mul(a, b)),
+            # the cross terms cancel exactly
+            ((a + b) * (a - b),
+             ref_mul(ref_add(a, b), ref_add(a, ref_neg(b)))),
+            (a ** 3, ref_pow(a, 3)),
+            (a.scale(c), ref_scale(a, c)),
+            (a.scale(F.zero()), Poly(F, vs, {})),
+            (a * 2, ref_mul(a, ref_const(F, vs, 2))),
+            (Poly.const(F, vs, c), ref_const(F, vs, c)),
+            (Poly.const(F, vs, Q(3, 7)), ref_const(F, vs, Q(3, 7))),
+            (Poly.const(F, vs, 0), ref_const(F, vs, 0)),
+            (Poly.var(F, vs, vs[-1]), ref_var(F, vs, vs[-1])),
+        ]
+        for got, want in cases:
+            assert_invariant(got)
+            assert stored(got) == stored(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), FIELD_KINDS, VARIABLES,
+           st.integers(-2, 2))
+    def test_ratfun_ops_match_the_validating_constructor(self, seed, kind,
+                                                         vs, n):
+        rng = random.Random(seed)
+        F = field_of(kind)
+        fp, gp = [(poly_in(F, rng, vs, most=2),
+                   poly_in(F, rng, vs, allow_zero=False, most=2))
+                  for _ in range(2)]
+        f, g = RatFun(*fp), RatFun(*gp)
+        fr, gr = ref_ratfun(*fp), ref_ratfun(*gp)
+        assert_same_ratfun(f, fr)
+        assert_same_ratfun(g, gr)
+        neg_g = ref_ratfun(ref_neg(gr[0]), gr[1])
+        assert_same_ratfun(f + g, ref_rat_add(fr, gr))
+        assert_same_ratfun(f - g, ref_rat_add(fr, neg_g))
+        assert_same_ratfun(f * g, ref_rat_mul(fr, gr))
+        if not g.is_zero():
+            assert_same_ratfun(f / g, ref_ratfun(ref_mul(fr[0], gr[1]),
+                                                 ref_mul(fr[1], gr[0])))
+        if n >= 0 or not f.is_zero():
+            assert_same_ratfun(f ** n, ref_rat_pow(fr, n))
+        one = ref_const(F, vs, 1)
+        assert_same_ratfun(RatFun.var(F, vs, vs[0]),
+                           ref_ratfun(ref_var(F, vs, vs[0]), one))
+        c = coeff_in(F, rng)
+        assert_same_ratfun(RatFun.const(F, vs, c),
+                           ref_ratfun(ref_const(F, vs, c), one))
+        assert_same_ratfun(f * 3, ref_rat_mul(
+            fr, ref_ratfun(ref_const(F, vs, 3), one)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), FIELD_KINDS)
+    def test_unit_decision_matches_subtracting_one(self, seed, kind):
+        rng = random.Random(seed)
+        F = field_of(kind)
+        x = coeff_in(F, rng)
+        candidates = [x, x / x, x * x.inverse(), F.one() + x - x,
+                      F.const(1), F.const(-1), (x * x + 1) / (1 + x * x)]
+        vs = ("y",)
+        num = Poly.var(F, vs, "y")
+        for c in candidates:
+            unit = (c - F.one()).is_zero()
+            den = Poly.const(F, vs, c)
+            f = RatFun(num, den)
+            # RatFun keeps a monic denominator as it is and rescales
+            # every other one
+            assert (f.den is den) == unit
+            assert_same_ratfun(f, ref_ratfun(num, den))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), FIELD_KINDS, VARIABLES)
+    def test_product_with_one_returns_equal_terms(self, seed, kind, vs):
+        rng = random.Random(seed)
+        F = field_of(kind)
+        p = poly_in(F, rng, vs)
+        x = coeff_in(F, rng)
+        # a unit stored as 1/1 returns the other factor as it is; one
+        # stored as x/x multiplies into its terms, as it always did
+        for one, plain in ((Poly.const(F, vs, 1), True),
+                           (ref_const(F, vs, F.const(1)), True),
+                           (Poly.const(F, vs, x / x), len(x.num.terms) == 1
+                            and len(x.den.terms) == 1)):
+            for got in (p * one, one * p):
+                assert got == p
+                assert stored(got) == stored(ref_mul(p, one))
+                assert (stored(got) == stored(p)) if plain else True
+
+
+class TestBuildCost:
+    def test_parse_runs_no_subtraction_and_shares_the_unit(self,
+                                                           monkeypatch):
+        R = rational_field()
+        counts = {"sub": 0, "const": 0}
+        sub, const = FieldElement.__sub__, FieldDescriptor.const
+
+        def counting_sub(self, other):
+            counts["sub"] += 1
+            return sub(self, other)
+
+        def counting_const(self, c):
+            counts["const"] += 1
+            return const(self, c)
+
+        monkeypatch.setattr(FieldElement, "__sub__", counting_sub)
+        monkeypatch.setattr(FieldDescriptor, "const", counting_const)
+        text = "(3/2 + 5/3*y)/(2 + y)"
+        f = parse_ratfun(text, R, ("y",))
+        assert counts["sub"] == 0
+        # the five integer literals, then the unit built once
+        assert counts["const"] == 6
+        counts["const"] = 0
+        assert parse_ratfun(text, R, ("y",)) is not f
+        assert counts == {"sub": 0, "const": 5}
+        one = R.one()
+        assert R.one() is one and R.zero() is R.zero()
+        assert counts["const"] == 6
+        monkeypatch.undo()
+        assert one == R.const(1) and R.zero() == R.const(0)
+        assert format_ratfun(f) == "(5/3*y + 3/2)/(y + 2)"
+
+    def test_field_constants_are_built_on_first_use(self, monkeypatch):
+        built = []
+        const = FieldDescriptor.const
+        monkeypatch.setattr(FieldDescriptor, "const",
+                            lambda self, c: (built.append(c),
+                                             const(self, c))[1])
+        R = rational_field()
+        assert built == []
+        R.zero(), R.one(), R.zero(), R.one()
+        assert built == [0, 1]
