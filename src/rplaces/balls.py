@@ -185,17 +185,3 @@ def _filler_distance_values(res: Obstructed, R: FieldDescriptor,
         bound_R = restrict_position(group.below(res.gamma0), mask, R.group)
     return InitialSegment(bound_R)
 
-
-def filler_distance_segment(spec: NonBallWithFiller,
-                            max_steps: int = DEFAULT_MAX_STEPS
-                            ) -> InitialSegment:
-    """v(E-D) of the filled cut, as an initial segment of the subfield's
-    value group."""
-    R = spec.subfield
-    a = spec.filler
-    mask = R.embedding_mask_into(a.field)
-    if mask is None:
-        raise FieldMismatchError(
-            f"{R.name} does not embed in {a.field.name}")
-    res = obstruction(a, R, max_steps)
-    return _filler_distance_values(res, R, a.field, mask)

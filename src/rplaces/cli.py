@@ -63,7 +63,8 @@ from .valgroup import (
 )
 from .ordfield import (
     DEFAULT_MAX_STEPS, ExpansionBudgetError, FieldDescriptor, FieldElement,
-    FieldMismatchError, INF, adjoin_infinitesimal, declare_embedding, lift,
+    FieldMismatchError, HahnSum, INF, adjoin_infinitesimal, declare_embedding,
+    lift,
 )
 from .ratfun import RatFun, RatFunSyntaxError, format_ratfun, parse_ratfun
 from .balls import (
@@ -749,9 +750,7 @@ def _cmd_expand(sess: Session, scan: _Scan) -> dict:
     scan.expect("cutoff")
     cutoff = _parse_group_elem(scan, x.field.group)
     terms, more = x.expand(cutoff, sess.max_steps)
-    partial = x.field.zero()
-    for coords, c in terms.terms.items():
-        partial = partial + x.field.monomial(x.field.group.elem(*coords), c)
+    partial = FieldElement(x.field, terms, HahnSum.one(x.field.group))
     return {"terms": str(partial), "truncated": more}
 
 

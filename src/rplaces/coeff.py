@@ -287,9 +287,3 @@ def rational_between(lo: QuadExt, hi: QuadExt) -> Fraction:
             return q
         scale *= 2
 
-
-def rational_below(x: QuadExt) -> Fraction:
-    """A positive rational strictly below x > 0."""
-    if x.sign() <= 0:
-        raise ValueError("need a positive value")
-    return rational_between(QuadExt(0), x)

@@ -53,12 +53,6 @@ class EmbeddingContext:
         return f"EmbeddingContext({self.R.name} in {self.F.name}, {tag})"
 
 
-def embedding_exists(ctx: EmbeddingContext) -> bool:
-    """Cuts of R embed into cuts of F exactly when the embedded value
-    group is convex in the larger group."""
-    return ctx.convex
-
-
 def _host_field(A: FieldDescriptor, B: FieldDescriptor) -> FieldDescriptor:
     """The nearest of B and its declared extensions that contains A."""
     frontier = [B]

@@ -952,10 +952,3 @@ def obstruction(x: FieldElement, R: FieldDescriptor,
                          "no term leaves it")
     return res
 
-
-def element_in_subfield(x: FieldElement, R: FieldDescriptor,
-                        max_steps: int = DEFAULT_MAX_STEPS
-                        ) -> Optional[FieldElement]:
-    """The element of R equal to x, if the analysis finds one."""
-    res = settled_analysis(x, R, max_steps)
-    return res.approximant if isinstance(res, InSubfield) else None

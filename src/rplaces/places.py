@@ -219,22 +219,16 @@ def _lift_poly(p: Poly, F: FieldDescriptor) -> Poly:
 
 
 def _min_val(p: Poly) -> GroupElem:
-    vals = [c.val() for c in p.terms.values()]
-    best = vals[0]
-    for v in vals[1:]:
-        if v.cmp(best) < 0:
-            best = v
-    return best
+    return min(c.val() for c in p.terms.values())
 
 
 def _residue_poly(p: Poly, shift: GroupElem, k: FieldDescriptor) -> Poly:
-    scale = p.field.monomial(-shift)
-    out = {}
-    for key, c in p.terms.items():
-        rc = (c * scale).residue()  # valuation >= 0 after the shift
-        if rc.sign() != 0:
-            out[key] = k.const(rc)
-    return Poly(k, p.variables, out)
+    """The residue of p * t^(-shift), where shift is the least value of a
+    coefficient: each coefficient of value shift gives its leading
+    coefficient, and every other one vanishes."""
+    return Poly(k, p.variables, {key: k.const(c.leading_coeff())
+                                 for key, c in p.terms.items()
+                                 if c.val().cmp(shift) == 0})
 
 
 def _gauss_value(F: FieldDescriptor, k: FieldDescriptor, var: str,

@@ -1,20 +1,21 @@
 """Sparse polynomials and rational functions over one Hahn-sum field.
 
-Coefficients are full FieldElement values (fractions of plain sums), so a
-"constant" already carries arbitrary field arithmetic; the variables here
-are the transcendentals a place realizes.  Fractions are never
-gcd-reduced, only normalized so the denominator's leading coefficient is
-one.  Substitution is exact and reports a pole instead of dividing by
-zero.
+A Poly's coefficients are FieldElement values; the variables are the
+transcendentals a place realizes.  A RatFun num/den is the one fraction
+level: inside it every coefficient of num and den has denominator 1, so it
+is a plain sum.  `RatFun(num, den)` multiplies coefficient denominators out
+of its input once; arithmetic on such pairs keeps them 1.  The pair is
+normalised by the rule FieldElement applies to its own num/den: both are
+divided by the leading monomial of den's leading coefficient, and 0 is
+stored as 0/1.  Fractions are never gcd-reduced.  Substitution is exact and
+reports a pole instead of dividing by zero.
 
 Invariant: a Poly's terms map int exponent tuples, one entry per variable,
 to nonzero elements of its field.  The public constructor checks and
 converts its input; arithmetic results keep the invariant by construction
 and are built through `_poly` without re-checking.  Polys, RatFuns and
 their coefficients are never changed after they are built, so results may
-share terms (and whole operands) with their inputs.  A coefficient c is
-the unit exactly when its stored num and den agree (`_is_unit`): the
-denominator is canonical, so this is c == 1 without a subtraction.
+share terms (and whole operands) with their inputs.
 """
 from __future__ import annotations
 
@@ -50,12 +51,6 @@ def _as_element(field: FieldDescriptor, c) -> FieldElement:
             return lift(c, field)
         return c
     return field.const(c)
-
-
-def _is_unit(c: FieldElement) -> bool:
-    """c == 1, read from the stored form: den is canonical, so c is one
-    exactly when its numerator and denominator sums are equal."""
-    return c.num == c.den
 
 
 class Poly:
@@ -142,9 +137,9 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         a, b = self._pair(other)
-        if _is_one(a, stored=True):
+        if _is_one(a):
             return b
-        if _is_one(b, stored=True):
+        if _is_one(b):
             return a
         out: dict = {}
         for k1, c1 in a.terms.items():
@@ -167,13 +162,6 @@ class Poly:
             base = base * base
             n >>= 1
         return out
-
-    def scale(self, c: FieldElement) -> "Poly":
-        c = _as_element(self.field, c)
-        if c.is_zero():
-            return _poly(self.field, self.variables, {})
-        return _poly(self.field, self.variables,
-                     {k: v * c for k, v in self.terms.items()})
 
     def evaluate(self, assignment: dict,
                  target: Optional[FieldDescriptor] = None) -> FieldElement:
@@ -230,22 +218,55 @@ def _nonzero(terms: dict) -> dict:
     return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
-def _is_one(p: Poly, stored: bool = False) -> bool:
-    """p is the constant polynomial 1.  With `stored`, its coefficient is
-    also stored as 1/1 (a canonical denominator with one term is 1), so a
-    product with p leaves every representation as it is: a unit stored as
-    (1 + t)/(1 + t) would multiply out into the other factor's terms."""
+def _is_one(p: Poly) -> bool:
+    """p is the constant polynomial 1 with its coefficient stored as 1/1 (a
+    canonical denominator with one term is 1), so a product with p leaves
+    every representation as it is.  A one stored as (1 + t)/(1 + t), which
+    only a Poly outside a RatFun can hold, multiplies out as usual."""
     if len(p.terms) != 1:
         return False
     (key, c), = p.terms.items()
-    return not any(key) and _is_unit(c) and \
-        (not stored or len(c.den.terms) == 1)
+    return not any(key) and len(c.den.terms) == 1 and c.num == c.den
+
+
+def _cleared(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num and den times every distinct coefficient denominator: each
+    coefficient becomes its numerator times the other denominators, over 1.
+    Polys whose coefficients all have denominator 1 come back as they are."""
+    dens = []
+    for p in (num, den):
+        for c in p.terms.values():
+            if len(c.den.terms) != 1 and c.den not in dens:
+                dens.append(c.den)
+    if not dens:
+        return num, den
+    one = num.field.one().den
+
+    def clear(p: Poly) -> Poly:
+        out = {}
+        for k, c in p.terms.items():
+            h = c.num
+            for d in dens:
+                if d != c.den:
+                    h = h * d
+            out[k] = FieldElement(p.field, h, one)
+        return _poly(p.field, p.variables, out)
+    return clear(num), clear(den)
+
+
+def _times(p: Poly, f: tuple) -> Poly:
+    """p with every coefficient's numerator times the monomial that
+    `HahnSum._monic_factor` describes as f."""
+    return _poly(p.field, p.variables,
+                 {k: FieldElement(p.field, c.num._times_monomial(*f), c.den)
+                  for k, c in p.terms.items()})
 
 
 class RatFun:
-    """Quotient of two polynomials, denominator monic at its leading
-    exponent tuple (decided by `_is_unit`, without field arithmetic).
-    Like Poly, a RatFun is never changed after it is built."""
+    """Quotient of two polynomials whose coefficients have denominator 1.
+    The leading coefficient of den (at its largest exponent tuple) has
+    leading monomial 1, and the zero function is 0/1.  Like Poly, a RatFun
+    is never changed after it is built."""
 
     __slots__ = ("num", "den")
 
@@ -253,17 +274,21 @@ class RatFun:
         num, den = num._pair(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        c = den.terms[den.lead_key()]
-        if not _is_unit(c):
-            inv = c.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
+        if num.is_zero():
+            den = Poly.const(num.field, num.variables, num.field.one())
+        else:
+            num, den = _cleared(num, den)
+            lead = den.terms[den.lead_key()].num
+            if not lead._is_monic():
+                f = lead._monic_factor()
+                num, den = _times(num, f), _times(den, f)
         self.num = num
         self.den = den
 
     @staticmethod
     def const(field: FieldDescriptor, variables: Sequence[str],
               c) -> "RatFun":
+        """c = a/b as the constant function with num a and den b."""
         return RatFun(Poly.const(field, variables, c),
                       Poly.const(field, variables, field.one()))
 
@@ -336,7 +361,8 @@ class RatFun:
 
     def __eq__(self, other) -> bool:
         """Equality of functions: fractions are not reduced, so compare
-        by cross-multiplication."""
+        by cross-multiplication.  The products' coefficients have
+        denominator 1, so equal coefficients store equal numerators."""
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         elif not isinstance(other, RatFun):
@@ -344,7 +370,9 @@ class RatFun:
         if self.field is not other.field or \
                 self.variables != other.variables:
             return False
-        return self.num * other.den == other.num * self.den
+        a, b = self.num * other.den, other.num * self.den
+        return a.terms.keys() == b.terms.keys() and \
+            all(c.num == b.terms[k].num for k, c in a.terms.items())
 
     def __hash__(self):
         raise TypeError("rational functions are not hashable")

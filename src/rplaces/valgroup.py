@@ -294,9 +294,6 @@ class GroupCut(Ordered):
 
     # -- structure ------------------------------------------------------------
 
-    def is_element_position(self) -> bool:
-        return self.kind == "key" and self.nudge() == 0
-
     def nudge(self) -> int:
         """Final nudge; 0 for element positions, sign for infinities."""
         if self.kind == "minf":

@@ -8,13 +8,15 @@ import pytest
 
 from rplaces.balls import (
     Ball, BallComplement, NonBallWithFiller, ball_contains, ball_eq,
-    between_ball, complement_pair_at, distance_sets, filler_distance_segment,
+    between_ball, complement_pair_at, distance_sets,
 )
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import (
     FieldDescriptor, adjoin_infinitesimal, lift,
 )
-from rplaces.valgroup import LEX, FinalSegment, ValueGroup
+from rplaces.valgroup import (
+    LEX, FinalSegment, InitialSegment, ValueGroup, restrict_position,
+)
 
 Q = Fraction
 
@@ -270,11 +272,20 @@ class TestBetweenBall:
             d, e = complement_pair_at(B0, R.group.elem(x.val().coords[1]))
             assert not (lift(d, F).cmp(x) < 0 < lift(e, F).cmp(x))
 
+    @staticmethod
+    def distances(spec):
+        """v(E-D) of the filled cut, read as `between filler` reads it: the
+        between ball's radius restricted to the subfield's value group."""
+        out = between_ball(spec)
+        R = spec.subfield
+        return InitialSegment(restrict_position(
+            out.radius.boundary, R.embedding_mask_into(out.field), R.group))
+
     def test_distance_segment_exponent_kind(self):
         R, F = rank2_pair()
         u = F.monomial(F.group.elem(0, 1))
         s = F.monomial(F.group.elem(1, 0))
-        seg = filler_distance_segment(NonBallWithFiller(R, u + s))
+        seg = self.distances(NonBallWithFiller(R, u + s))
         # distances below (1,0) restrict to all of the subgroup
         assert seg.boundary == R.group.plus_inf()
 
@@ -282,6 +293,6 @@ class TestBetweenBall:
         R = rank1_field("R")
         F = R.extend_coeff("F", 2)
         root2 = F.const(QuadExt.sqrt(2))
-        seg = filler_distance_segment(NonBallWithFiller(R, root2))
+        seg = self.distances(NonBallWithFiller(R, root2))
         assert seg.contains(F.group.elem(0))
         assert not seg.contains(F.group.elem(Q(1, 3)))

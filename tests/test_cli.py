@@ -11,6 +11,8 @@ from rplaces.cli import (
     _COMMANDS, _PROBES, Session, main, render_human, render_json, run,
     run_script,
 )
+from rplaces.ordfield import FieldDescriptor
+from rplaces.valgroup import LEX, ValueGroup
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -157,6 +159,21 @@ class TestDefObjects:
         out = ok(sess, "def-elem af in F = a + t^((1,0))")
         assert out["field"] == "F"
         assert out["value"] == "1+t^((0,1/2))+t^((1,0))"
+
+    def test_elem_fraction_is_one_fraction(self):
+        # a quotient prints as direct field arithmetic gives it, with no
+        # multi-term unit multiplied into its numerator and denominator
+        F = FieldDescriptor("F", None, ValueGroup(LEX, 1))
+        t = F.monomial(F.group.elem(1))
+        sess = Session()
+        ok(sess, "def-field F = hahn rational lex 1")
+        for name, text, direct, want in (
+                ("a", "(1+t)/(1+t^(2))", (1 + t) / (1 + t * t),
+                 "(1+t^(1))/(1+t^(2))"),
+                ("b", "1/(1-t) + t", 1 / (1 - t) + t,
+                 "(1+t^(1)-t^(2))/(1-t^(1))")):
+            out = ok(sess, f"def-elem {name} in F = {text}")
+            assert out["value"] == want == str(direct)
 
     def test_elem_unrelated_field_is_a_mismatch(self):
         sess = session()
@@ -557,7 +574,7 @@ class TestCoverage:
         "places.three_case_witness": "witness three-case P2",
         "places.find_separating_function": "witness separate C3 C4",
         "places.distinguish_stacked_independent": "witness distinguish P2 P3",
-        "embed.embedding_exists": "embed exists R in F",
+        "embed.EmbeddingContext": "embed exists R in F",
         "embed.iota_tilde": "embed cut C1 from R into F",
         "embed.iota_place": "embed place P1 from R into F",
         "embed.principal_preservation": "embed principal R in F",

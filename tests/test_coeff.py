@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rplaces.coeff import (
-    RADICAND_BOUND, QuadExt, format_coeff, rational_below, rational_between,
+    RADICAND_BOUND, QuadExt, format_coeff, rational_between,
 )
 
 Q = Fraction
@@ -118,7 +118,7 @@ class TestBetween:
 
     def test_below(self):
         x = quad(0, Q(1, 1000))
-        q = rational_below(x)
+        q = rational_between(QuadExt(0), x)
         assert 0 < q < x
 
     def test_empty(self):

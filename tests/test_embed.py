@@ -17,9 +17,9 @@ from rplaces.cuts import (cut_cmp, cut_edge, cut_filler, cut_minus_inf,
                           cut_plus_inf, cut_principal, equivalent, restrict,
                           side_of)
 from rplaces.places import eval_place, gauss_extension, place_from_cut
-from rplaces.embed import (EmbeddingContext, NonConvexWitness,
-                           embedding_exists, iota_place, iota_tilde,
-                           nonconvex_witness, principal_preservation)
+from rplaces.embed import (EmbeddingContext, NonConvexWitness, iota_place,
+                           iota_tilde, nonconvex_witness,
+                           principal_preservation)
 
 SQRT2 = QuadExt(0, 1, 2)
 
@@ -82,8 +82,8 @@ def random_ratfun(rng, field, variables=("y",)):
 class TestEmbeddingContext:
     def test_convexity_split(self):
         F, Rc, Rn = plane_tower()
-        assert embedding_exists(EmbeddingContext(Rc, F))
-        assert not embedding_exists(EmbeddingContext(Rn, F))
+        assert EmbeddingContext(Rc, F).convex
+        assert not EmbeddingContext(Rn, F).convex
 
     def test_identity_and_rank_zero(self):
         F, Rc, _ = plane_tower()

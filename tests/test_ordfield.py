@@ -12,7 +12,7 @@ from rplaces.ordfield import (
     DEFAULT_MAX_STEPS, INF, Exhausted, ExpansionBudgetError, FieldDescriptor,
     FieldElement, FieldMismatchError, HahnSum, InSubfield, Obstructed,
     _mask_search, adjoin_infinitesimal, approx_analysis, declare_embedding,
-    element_in_subfield, lift,
+    lift, settled_analysis,
 )
 from rplaces.valgroup import LEX, WEIGHTED, ValueGroup
 
@@ -451,7 +451,7 @@ class TestApproxAnalysis:
         r = res.approximant
         assert r.field is R
         assert lift(r, F).cmp(x) == 0
-        assert element_in_subfield(x, R).cmp(r) == 0
+        assert settled_analysis(x, R).approximant.cmp(r) == 0
 
     def test_exponent_obstruction(self):
         F = rank2_field()
@@ -485,7 +485,7 @@ class TestApproxAnalysis:
         res = approx_analysis(1 / (1 - t), F, max_steps=8)
         assert isinstance(res, Exhausted)
         with pytest.raises(ExpansionBudgetError):
-            element_in_subfield(1 / (1 - t), F, max_steps=8)
+            settled_analysis(1 / (1 - t), F, max_steps=8)
 
     def test_obstruction_bounds_every_approximant(self):
         # sampled r never beats r*: v(x - r) <= gamma0

@@ -468,7 +468,7 @@ class TestRationalCompose:
         def shift(p):
             out = Poly.const(F, (var,), 0)
             for key, c in p.terms.items():
-                out = out + (base ** key[0]).scale(c)
+                out = out + (base ** key[0]) * c
             return out
 
         num, den = shift(f.num), shift(f.den)

@@ -102,7 +102,7 @@ class TestRatFun:
     def test_denominator_normalized(self):
         R = rational_field()
         x = Poly.var(R, ("x",), "x")
-        f = RatFun(Poly.const(R, ("x",), 3), x.scale(R.const(2)))
+        f = RatFun(Poly.const(R, ("x",), 3), x * R.const(2))
         assert f.den == x
         assert f.num == Poly.const(R, ("x",), Q(3, 2))
 
@@ -133,6 +133,14 @@ class TestRatFun:
             if not g.is_zero() and not isinstance((f / g).eval_at(x),
                                                   PoleMarker):
                 assert (f / g).eval_at(x) * ga == fa
+
+    def test_zero_is_stored_as_zero_over_one(self):
+        # the zero function keeps no denominator, so it has no pole
+        R = rational_field()
+        y = RatFun.var(R, ("y",), "y")
+        f = y / (y - 2) - y / (y - 2)
+        assert format_ratfun(f) == "0"
+        assert f.eval_at({"y": R.const(2)}).is_zero()
 
     def test_negative_power(self):
         R = rational_field()
@@ -237,7 +245,7 @@ class TestText:
         x = Poly.var(R, ("x", "y"), "x")
         y = Poly.var(R, ("x", "y"), "y")
         one = Poly.const(R, ("x", "y"), 1)
-        p = x * x * y - y.scale(R.const(Q(1, 2))) - one * 3
+        p = x * x * y - y * R.const(Q(1, 2)) - one * 3
         assert format_poly(p) == "x^2*y - 1/2*y - 3"
 
     def test_constant_forms(self):
@@ -251,6 +259,18 @@ class TestText:
         R = rational_field()
         y = RatFun.var(R, ("y",), "y")
         assert format_ratfun((y - 1) / (y + 1)) == "(y - 1)/(y + 1)"
+
+    def test_leading_coefficient_is_not_made_a_unit(self):
+        # the denominator's leading coefficient 1 + t has leading monomial
+        # 1, so it stays as it is: no unit (1 + t)/(1 + t) multiplies into
+        # num and den
+        R = rational_field()
+        f = parse_ratfun("y/((1+t)*y + 1)", R, ("y",))
+        assert format_ratfun(f) == "(y)/((1+t^(1))*y + 1)"
+        t = R.monomial(R.group.elem(1))
+        assert f.den.terms[(1,)] == 1 + t
+        assert all(len(c.den.terms) == 1
+                   for p in (f.num, f.den) for c in p.terms.values())
 
     def test_round_trip_corpus(self):
         R = rational_field()
@@ -316,7 +336,7 @@ class TestText:
 #
 # The arithmetic builds its results without re-checking them; these
 # references rebuild each operation the slow way, through the public
-# Poly(...) and with the unit decided by a field subtraction.
+# Poly(...) and FieldElement arithmetic.
 
 def ref_const(F, vs, c):
     return Poly(F, vs, {(0,) * len(vs): c})
@@ -357,14 +377,38 @@ def ref_pow(a, n):
     return out
 
 
+def whole(F, h):
+    """The Hahn sum h as an element of F over the denominator 1."""
+    return FieldElement(F, h, F.one().den)
+
+
 def ref_ratfun(num, den):
-    """(num, den) normalised as RatFun does, with the unit test done by
-    subtracting one."""
-    c = den.terms[den.lead_key()]
-    if not (c - num.field.const(1)).is_zero():
-        inv = 1 / c
-        num, den = ref_scale(num, inv), ref_scale(den, inv)
-    return num, den
+    """(num, den) in RatFun's normal form.  Every coefficient becomes its
+    numerator times each distinct coefficient denominator other than its
+    own, over 1; then num and den are divided by the leading monomial of
+    den's leading coefficient.  Zero is 0/1."""
+    F, vs = num.field, num.variables
+    if num.is_zero():
+        return num, ref_const(F, vs, 1)
+    dens = []
+    for c in list(num.terms.values()) + list(den.terms.values()):
+        d = whole(F, c.den)
+        if d != F.one() and all(d != e for e in dens):
+            dens.append(d)
+
+    def cleared(p):
+        out = {}
+        for k, c in p.terms.items():
+            x = whole(F, c.num)
+            for e in dens:
+                if e != whole(F, c.den):
+                    x = x * e
+            out[k] = x
+        return Poly(F, vs, out)
+    num, den = cleared(num), cleared(den)
+    lead = den.terms[den.lead_key()]
+    m = F.monomial(lead.val(), lead.leading_coeff())
+    return ref_scale(num, 1 / m), ref_scale(den, 1 / m)
 
 
 def ref_rat_add(f, g):
@@ -475,8 +519,8 @@ class TestTrustedResults:
             ((a + b) * (a - b),
              ref_mul(ref_add(a, b), ref_add(a, ref_neg(b)))),
             (a ** 3, ref_pow(a, 3)),
-            (a.scale(c), ref_scale(a, c)),
-            (a.scale(F.zero()), Poly(F, vs, {})),
+            (a * c, ref_scale(a, c)),
+            (a * F.zero(), Poly(F, vs, {})),
             (a * 2, ref_mul(a, ref_const(F, vs, 2))),
             (Poly.const(F, vs, c), ref_const(F, vs, c)),
             (Poly.const(F, vs, Q(3, 7)), ref_const(F, vs, Q(3, 7))),
@@ -518,6 +562,21 @@ class TestTrustedResults:
                            ref_ratfun(ref_const(F, vs, c), one))
         assert_same_ratfun(f * 3, ref_rat_mul(
             fr, ref_ratfun(ref_const(F, vs, 3), one)))
+        # with no variables a parse is the element that FieldElement
+        # arithmetic gives, stored as its num over its den
+        a, b = coeff_in(F, rng), coeff_in(F, rng)
+        names = {"a": a, "b": b}
+        for text, x in (
+                ("(a - b)/(a*a + b*b) + 3/(a*b)",
+                 (a - b) / (a * a + b * b) + 3 / (a * b)),
+                ("a^-2*b - (a + 1)^2/b + b",
+                 a ** -2 * b - (a + 1) ** 2 / b + b),
+                ("a/b - a/b", a / b - a / b)):
+            h = parse_ratfun(text, F, (), names)
+            assert_same_ratfun(h, (ref_const(F, (), whole(F, x.num)),
+                                   ref_const(F, (), whole(F, x.den))))
+            assert str(h.num.terms.get((), F.zero()) / h.den.terms[()]) \
+                == str(x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32), FIELD_KINDS)
@@ -530,13 +589,17 @@ class TestTrustedResults:
         vs = ("y",)
         num = Poly.var(F, vs, "y")
         for c in candidates:
-            unit = (c - F.one()).is_zero()
             den = Poly.const(F, vs, c)
             f = RatFun(num, den)
-            # RatFun keeps a monic denominator as it is and rescales
-            # every other one
-            assert (f.den is den) == unit
+            # RatFun keeps a denominator already in normal form as it is
+            # and rebuilds every other one; a one stored as s/s gives
+            # y*s over s, with no s/s left in any coefficient
+            normal = len(c.den.terms) == 1 and c.val().sign() == 0 and \
+                c.leading_coeff() == QuadExt(1)
+            assert (f.den is den) == normal
             assert_same_ratfun(f, ref_ratfun(num, den))
+            if (c - F.one()).is_zero():
+                assert f == RatFun.var(F, vs, "y")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32), FIELD_KINDS, VARIABLES)
