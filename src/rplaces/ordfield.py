@@ -13,8 +13,8 @@ Laurent sum in t^(1/n)), and coefficients as integer numerators over one
 denominator q per sum, pairs (a, b) for (a + b*sqrt(d))/q when the sum has
 the radicand d.  Arithmetic runs on ints alone.  Fraction, QuadExt and
 GroupElem values are built only where terms leave a sum: leading(),
-support(), printing, and the `terms` view, which is converted anew on each
-access and so stays off hot paths.
+support(), printing, and the `terms` view, converted anew on each access:
+nothing is kept per sum, and coordinates come from a bounded memo.
 
 Fields are identified by descriptors that also record how they embed into
 one another; arithmetic silently lifts along a declared embedding chain and
@@ -22,8 +22,9 @@ refuses anything else.
 """
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -298,7 +299,8 @@ class HahnSum:
     def terms(self) -> Mapping:
         """The terms as a read-only mapping {exponent coordinates (tuple of
         Fractions): QuadExt}.  It is built out of the stored form on each
-        access, so hot paths must not use it."""
+        access, so hot paths must not use it; `items()` converts terms as
+        they are read, and `values()` is the converted dict's own view."""
         return _TermsView(self)
 
     def __add__(self, other: "HahnSum") -> "HahnSum":
@@ -341,8 +343,14 @@ class HahnSum:
         return self + (-other)
 
     def __mul__(self, other: "HahnSum") -> "HahnSum":
+        """The product; a factor stored as 1 at scale 1 gives back the other
+        factor itself, which is the stored form the full product has."""
         if not self._t or not other._t:
             return HahnSum.zero(self.group)
+        if other._is_unit():
+            return self
+        if self._is_unit():
+            return other
         n, t1, t2 = _common_scale(self, other)
         d = _join_radicand(self._d, other._d)
         out: dict = {}
@@ -396,9 +404,7 @@ class HahnSum:
             return self
         if m != n:
             big = math.lcm(n, m)
-            if big != n:
-                t = _rescaled(t, big // n)
-                n = big
+            t, n = _rescaled(t, big // n), big
             key = tuple(x * (big // m) for x in key)
         if any(key):
             t = {tuple(map(add, k, key)): v for k, v in t.items()}
@@ -439,20 +445,24 @@ class HahnSum:
         return sorted(self._t, key=cmp_to_key(lambda k1, k2: _surd_sign(
             val[k1][0] - val[k2][0], val[k1][1] - val[k2][1], d)))
 
-    def _coords(self, key: tuple) -> tuple:
-        return tuple(Fraction(x, self._n) for x in key)
-
     def _coeff(self, v) -> QuadExt:
-        if self._d is None:
-            return QuadExt(Fraction(v, self._q), Q0)
-        return QuadExt(Fraction(v[0], self._q), Fraction(v[1], self._q),
-                       self._d)
+        q = self._q
+        if self._d is None:  # Fraction(v) skips the gcd of Fraction(v, 1)
+            return QuadExt(Fraction(v) if q == 1 else Fraction(v, q), Q0)
+        return QuadExt(Fraction(v[0], q), Fraction(v[1], q), self._d)
 
     def _lead_sign(self) -> int:
+        if not self._t:
+            return 0
         v = self._t[self._lead_key()]
         if self._d is None:
             return 1 if v > 0 else -1
         return _surd_sign(v[0], v[1], self._d)
+
+    def _is_unit(self) -> bool:
+        """Whether the stored form is that of 1 at scale 1."""
+        return self._n == 1 and self._q == 1 and self._d is None \
+            and len(self._t) == 1 and self._t.get((0,) * self.group.rank) == 1
 
     def _is_monic(self) -> bool:
         """Whether the leading term is t^0 with coefficient 1."""
@@ -490,10 +500,11 @@ class HahnSum:
         if not self._t:
             raise ValueError("zero sum has no leading term")
         k = self._lead_key()
-        return GroupElem(self.group, self._coords(k)), self._coeff(self._t[k])
+        return (GroupElem(self.group, _coords(k, self._n)),
+                self._coeff(self._t[k]))
 
     def support(self) -> list[GroupElem]:
-        return [GroupElem(self.group, self._coords(k))
+        return [GroupElem(self.group, _coords(k, self._n))
                 for k in self._sorted_keys()]
 
     def __eq__(self, other: object) -> bool:
@@ -516,19 +527,23 @@ class HahnSum:
 
 class _TermsView(Mapping):
     """HahnSum.terms: the Fraction-keyed dict of QuadExt coefficients,
-    built on first use; its length needs no conversion."""
+    built on first use; its length and items() need no dict."""
 
     __slots__ = ("_h", "_dict")
 
     def __init__(self, h: HahnSum):
-        self._h = h
-        self._dict = None
+        self._h, self._dict = h, None
 
     def _items(self) -> dict:
         if self._dict is None:
-            h = self._h
-            self._dict = {h._coords(k): h._coeff(v) for k, v in h._t.items()}
+            self._dict = dict(self.items())
         return self._dict
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return self._items().values()
 
     def __getitem__(self, key):
         return self._items()[key]
@@ -541,6 +556,14 @@ class _TermsView(Mapping):
 
     def __repr__(self):
         return repr(self._items())
+
+
+class _TermItems(ItemsView):
+    """A terms view's items, converted as they are read: nothing hashed."""
+
+    def __iter__(self):
+        h = self._mapping._h
+        return ((_coords(k, h._n), h._coeff(v)) for k, v in h._t.items())
 
 
 def _sum(group: ValueGroup, n: int, q: int, d: Optional[int],
@@ -585,7 +608,15 @@ def _int_coords(coords, n: int) -> tuple:
     return tuple(x.numerator * (n // x.denominator) for x in coords)
 
 
+@functools.lru_cache(maxsize=2048)
+def _coords(key: tuple, n: int) -> tuple:
+    """The exponent coordinates of the stored key at the scale n."""
+    return tuple(Fraction(x, n) for x in key)
+
+
 def _rescaled(t: dict, f: int) -> dict:
+    if f == 1:
+        return t
     return {tuple(x * f for x in k): v for k, v in t.items()}
 
 
@@ -705,17 +736,16 @@ class FieldElement(Ordered):
         return self.num.is_zero()
 
     def sign(self) -> int:
-        if self.num.is_zero():
-            return 0
         return self.num._lead_sign()
 
     def cmp(self, other) -> int:
+        """sign(x - y) = sign(x.num*y.den - y.num*x.den): dens lead with 1."""
         x, y = self._pair(other)
-        return (x - y).sign()
+        return (x.num * y.den - y.num * x.den)._lead_sign()
 
     def __eq__(self, other) -> bool:
-        if other is None:
-            return NotImplemented
+        """Equality in the field.  If neither field embeds in the other, cmp
+        raises FieldMismatchError and == falls back to identity (False)."""
         try:
             return self.cmp(other) == 0
         except (TypeError, FieldMismatchError):
@@ -732,7 +762,7 @@ class FieldElement(Ordered):
         if self.num.is_zero():
             return INF
         h = self.num  # den leading exponent is 0
-        return GroupElem(h.group, h._coords(h._lead_key()))
+        return GroupElem(h.group, _coords(h._lead_key(), h._n))
 
     def leading_coeff(self) -> QuadExt:
         if self.num.is_zero():
@@ -811,7 +841,7 @@ def _format_monomial(coords: tuple, c: QuadExt) -> str:
 def _format_sum(h: HahnSum) -> str:
     parts = []
     for k in h._sorted_keys():
-        s = _format_monomial(h._coords(k), h._coeff(h._t[k]))
+        s = _format_monomial(_coords(k, h._n), h._coeff(h._t[k]))
         if parts and not s.startswith("-"):
             parts.append("+" + s)
         else:

@@ -4,13 +4,16 @@ leading term, support and equality, and every result keeps the stored-form
 invariants."""
 import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hahn_reference as ref
 from rplaces.coeff import QuadExt
-from rplaces.ordfield import HahnSum
+from rplaces.ordfield import (
+    HahnSum, _as_pairs, _common_scale, _join_radicand, _reduced,
+)
 from rplaces.valgroup import LEX, WEIGHTED, ValueGroup
 
 GROUPS = [ValueGroup(LEX, rank) for rank in range(4)] + [
@@ -184,3 +187,81 @@ class TestMixedRadicands:
         a, b = self.sums()
         one = HahnSum.one(self.G)
         assert (a + one)._d == 2 and (b * one)._d == 3
+
+
+def full_product(x: HahnSum, y: HahnSum) -> HahnSum:
+    """HahnSum.__mul__ without its unit shortcut: the product loop over both
+    factors' terms at their common scale, then the reduction."""
+    if not x._t or not y._t:
+        return HahnSum.zero(x.group)
+    n, t1, t2 = _common_scale(x, y)
+    d = _join_radicand(x._d, y._d)
+    out = {}
+    for k1, (a1, b1) in _as_pairs(t1, x._d).items():
+        for k2, (a2, b2) in _as_pairs(t2, y._d).items():
+            k = tuple(map(add, k1, k2))
+            a, b = out.pop(k, (0, 0))
+            a, b = a + a1 * a2 + b1 * b2 * (d or 0), b + a1 * b2 + b1 * a2
+            if a or b:
+                out[k] = (a, b)
+    if d is None:
+        out = {k: a for k, (a, _) in out.items()}
+    return _reduced(x.group, n, x._q * y._q, d, out)
+
+
+def stored(h: HahnSum) -> tuple:
+    return h._n, h._q, h._d, h._t
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_products_with_the_unit_keep_the_full_products_stored_form(case):
+    group, d, xs, ys, c, g = case
+    x, y = build(HahnSum, group, xs).shift(g), build(HahnSum, group, ys)
+    one = HahnSum.one(group)
+    for a, b in ((x, one), (one, x), (x, y), (y, x), (one, one)):
+        check_stored_form(a * b)
+        assert stored(a * b) == stored(full_product(a, b))
+    if x._t and not x._is_unit():
+        assert x * one is x and one * x is x
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_a_unit_valued_sum_at_scale_2_rescales_the_product(case):
+    """1 stored at scale 2 is not the unit: the product is at scale 2."""
+    group, d, xs, _, _, _ = case
+    half = group.elem((Fraction(1, 2),) * group.rank)
+    u = HahnSum.one(group).shift(half).shift(-half)
+    x = build(HahnSum, group, xs)
+    if group.rank:
+        assert u._n == 2 and u == HahnSum.one(group)
+    for a, b in ((x, u), (u, x), (u, u)):
+        assert stored(a * b) == stored(full_product(a, b))
+    if x._t and group.rank:
+        assert (x * u)._n == math.lcm(x._n, 2)
+        assert x * u == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_terms_view_reads_as_the_converted_dict(case):
+    group, d, xs, _, _, g = case
+    x = build(HahnSum, group, xs).shift(g)
+    want = build(ref.HahnSum, group, xs).shift(g).terms
+    view = x.terms
+    assert dict(view) == want and view == want
+    assert len(view) == len(want)
+    assert list(view.items()) == [(k, view[k]) for k in view]
+    assert list(view.values()) == [view[k] for k in view]
+    assert dict(view.items()) == want and view.items() == want.items()
+    assert len(view.items()) == len(want)
+    assert all(kv in view.items() for kv in want.items())
+    assert sorted(view.values()) == sorted(want.values())
+    for k in want:
+        assert view.get(k) == want[k] and k in view
+    missing = (Fraction(1, 7),) * group.rank
+    if missing not in want:
+        assert view.get(missing) is None and view.get(missing, 0) == 0
+    assert repr(view) == repr(dict(view))
+    assert repr(x) == f"HahnSum({dict(view)!r})"

@@ -154,6 +154,20 @@ class TestCoercionAndLifting:
         with pytest.raises(FieldMismatchError):
             A.one() + B.one()
 
+    def test_equality_across_unrelated_fields_is_false(self):
+        """cmp refuses, == falls back to identity: False, and != True."""
+        A = rank1_field("A")
+        B = rank1_field("B")
+        a, b = A.one(), B.one()
+        assert a.__eq__(b) is NotImplemented
+        assert not a == b and not b == a
+        assert a != b and b != a
+        assert a == a
+        with pytest.raises(FieldMismatchError):
+            a.cmp(b)
+        with pytest.raises(FieldMismatchError):
+            a < b
+
     @pytest.mark.parametrize("d", [4, 1, 0, -3, 10 ** 12 + 39])
     def test_radicand_checked_when_the_field_is_declared(self, d):
         with pytest.raises(ValueError):
@@ -385,6 +399,60 @@ class TestFieldAxioms:
             s = x + y
             if not s.is_zero():
                 assert s.val().cmp(min(x.val(), y.val())) >= 0
+
+
+CMP_FIELDS = [
+    FieldDescriptor("L1", None, ValueGroup(LEX, 1)),
+    FieldDescriptor("L2r", 2, ValueGroup(LEX, 2)),
+    FieldDescriptor("L1r", 1000003, ValueGroup(LEX, 1)),
+    FieldDescriptor("W", None, ValueGroup(WEIGHTED, 2,
+                                          (QuadExt(1), QuadExt.sqrt(2)))),
+    FieldDescriptor("Wr", 2, ValueGroup(WEIGHTED, 2,
+                                        (QuadExt(1), QuadExt.sqrt(2)))),
+]
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of one field, each with a denominator of 2-3 terms."""
+    F = draw(st.sampled_from(CMP_FIELDS))
+    coord = st.builds(Q, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+    part = st.integers(-3, 3)
+
+    def sum_of(lo):
+        h = HahnSum.zero(F.group)
+        for _ in range(draw(st.integers(lo, 3))):
+            e = F.group.elem(draw(st.tuples(*[coord] * F.group.rank)))
+            c = QuadExt(draw(part), draw(part) if F.coeff_d else 0, F.coeff_d)
+            h = h + HahnSum.monomial(F.group, e, c)
+        return h
+
+    def element():
+        den = sum_of(2)
+        if len(den.terms) < 2:  # exponents 5 and 6 are past every drawn one
+            for e in (5, 6):
+                den = den + HahnSum.monomial(
+                    F.group, F.group.elem((Q(e),) * F.group.rank), QuadExt(e))
+        return FieldElement(F, sum_of(1), den)
+
+    return element(), element()
+
+
+class TestComparisonBySign:
+    @settings(max_examples=60, deadline=None)
+    @given(element_pairs())
+    def test_cmp_is_the_sign_of_the_difference(self, pair):
+        x, y = pair
+        for z in pair:
+            assert z.is_zero() or not z.den._is_unit()
+        s = (x - y).sign()
+        assert x.cmp(y) == s and y.cmp(x) == -s
+        assert (x == y) == (s == 0) and (x != y) == (s != 0)
+        assert (x < y) == (s < 0) and (y < x) == (s > 0)
+        assert x.cmp(x) == 0
+        if not y.is_zero():
+            assert x == x * y / y and x.cmp(x * y / y) == 0
+        assert x.cmp(0) == x.sign() and (x == 0) == x.is_zero()
 
 
 class TestAdjoinInfinitesimal:
