@@ -142,7 +142,8 @@ class FieldDescriptor:
 
     def embedding_mask_into(self, other: "FieldDescriptor") -> Optional[tuple]:
         """Coordinate mask of the declared embedding chain self -> other,
-        remembered per pair until the next edge is declared."""
+        remembered per pair until the next edge is declared.  Edge masks
+        are checked when declared, so a chain's mask is increasing."""
         pair = (self, other)
         try:
             return _MASKS[pair]
@@ -857,8 +858,6 @@ def lift(x: FieldElement, big: FieldDescriptor) -> FieldElement:
     if mask is None:
         raise FieldMismatchError(
             f"{x.field.name} does not embed in {big.name}")
-
-    mask = check_mask(mask, big.group)
     return FieldElement(big, x.num._embedded(big.group, mask),
                         x.den._embedded(big.group, mask))
 

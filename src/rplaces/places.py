@@ -24,7 +24,7 @@ from .coeff import QuadExt
 from .valgroup import LOWER, UPPER, LEX, WEIGHTED, GroupElem, ValueGroup
 from .ordfield import (DEFAULT_MAX_STEPS, INF, FieldDescriptor, FieldElement,
                        adjoin_infinitesimal, lift, obstruction)
-from .ratfun import Poly, RatFun, _as_element, format_ratfun
+from .ratfun import Poly, RatFun, _as_element, _homogeneous, format_ratfun
 from .cuts import (Cut, _ordered_between, _ordered_equivalent,
                    _ordered_witness, cut_cmp, cut_filler_analyzed)
 
@@ -210,14 +210,6 @@ def place_from_cut(C: Cut, var: str = "y",
 
 # -- evaluation ------------------------------------------------------------------
 
-def _lift_poly(p: Poly, F: FieldDescriptor) -> Poly:
-    if p.field is F:
-        return p
-    if p.field.embedding_mask_into(F) is None:
-        raise ValueError(f"{p.field.name} does not embed in {F.name}")
-    return Poly(F, p.variables, {k: lift(c, F) for k, c in p.terms.items()})
-
-
 def _min_val(p: Poly) -> GroupElem:
     return min(c.val() for c in p.terms.values())
 
@@ -235,8 +227,10 @@ def _gauss_value(F: FieldDescriptor, k: FieldDescriptor, var: str,
                  f: RatFun) -> PlaceValue:
     if tuple(f.variables) != (var,):
         raise ValueError(f"expected a function of {var!r} alone")
-    num = _lift_poly(f.num, F)
-    den = _lift_poly(f.den, F)
+    # an embedding keeps the order of valuations and leading coefficients
+    if f.field is not F and f.field.embedding_mask_into(F) is None:
+        raise ValueError(f"{f.field.name} does not embed in {F.name}")
+    num, den = f.num, f.den
     if num.is_zero():
         return PlaceValue(RatFun.const(k, (var,), 0))
     vn = _min_val(num)
@@ -253,10 +247,11 @@ def _gauss_value(F: FieldDescriptor, k: FieldDescriptor, var: str,
 def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
     """Exact value of the place at f; never approximates.
 
-    At a realized place the residue of nv/dv is read from the leading
-    terms of the two values, without forming the quotient: denominators
-    are canonical, so v(nv/dv) = v(nv) - v(dv) and the quotient's leading
-    coefficient is that of nv over that of dv."""
+    At a realized place f(values) = N/M for the two plain sums that
+    substitution over one common denominator gives (`ratfun._homogeneous`),
+    and the residue is read from their leading terms alone: v(N/M) is
+    v(N) - v(M), and the quotient's leading coefficient is N's over M's.
+    No field element is built and nothing is divided."""
     if place.kind == "gauss":
         return _gauss_value(place.base, place.field, place.variables[0], f)
     if place.kind == "composed":
@@ -267,21 +262,22 @@ def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
     missing = [v for v in f.variables if v not in place.realization]
     if missing:
         raise ValueError(f"place does not assign {missing[0]!r}")
-    nv = f.num.evaluate(place.realization, place.field)
-    dv = f.den.evaluate(place.realization, place.field)
-    if dv.is_zero():
-        if nv.is_zero():
+    top, bottom = _homogeneous(
+        f, [place.realization[v] for v in f.variables], place.field)
+    if bottom.is_zero():
+        if top.is_zero():
             raise ArithmeticError("0/0: the function is indeterminate "
                                   "at this place")
         return PlaceValue.infinite()
-    if nv.is_zero():
+    if top.is_zero():
         return PlaceValue(QuadExt(0))
-    order = nv.val().cmp(dv.val())
+    (gn, cn), (gd, cd) = top.leading(), bottom.leading()
+    order = gn.cmp(gd)
     if order < 0:
         return PlaceValue.infinite()
     if order > 0:
         return PlaceValue(QuadExt(0))
-    return PlaceValue(nv.leading_coeff() / dv.leading_coeff())
+    return PlaceValue(cn / cd)
 
 
 def harrison(place: RPlace, f: RatFun) -> bool:

@@ -7,8 +7,9 @@ is a plain sum.  `RatFun(num, den)` multiplies coefficient denominators out
 of its input once; arithmetic on such pairs keeps them 1.  The pair is
 normalised by the rule FieldElement applies to its own num/den: both are
 divided by the leading monomial of den's leading coefficient, and 0 is
-stored as 0/1.  Fractions are never gcd-reduced.  Substitution is exact and
-reports a pole instead of dividing by zero.
+stored as 0/1.  Fractions are never gcd-reduced.  Substitution makes num
+and den two plain sums over one common denominator (`_homogeneous`); their
+quotient is the value, and a zero den sum is a pole.
 
 Invariant: a Poly's terms map int exponent tuples, one entry per variable,
 to nonzero elements of its field.  The public constructor checks and
@@ -24,7 +25,8 @@ from functools import reduce
 from typing import Optional, Sequence, Union
 
 from .coeff import QuadExt
-from .ordfield import FieldDescriptor, FieldElement, FieldMismatchError, lift
+from .ordfield import (FieldDescriptor, FieldElement, FieldMismatchError,
+                       HahnSum, lift)
 
 
 class PoleMarker:
@@ -163,34 +165,6 @@ class Poly:
             n >>= 1
         return out
 
-    def evaluate(self, assignment: dict,
-                 target: Optional[FieldDescriptor] = None) -> FieldElement:
-        """Exact substitution; values may live in one extension field.
-
-        Powers come from one table per variable, filled on demand: the
-        power e is the power e - 1 times the value, so each power costs one
-        product however many terms use it.  Denominators are canonical
-        (leading exponent 0, leading coefficient 1) and products of
-        canonical denominators are canonical, so a power is the plain
-        product of numerators over the plain product of denominators
-        whatever the order of the products: the result has the same
-        num/den representation as per-term `v ** e`."""
-        values = [assignment[v] for v in self.variables]
-        if target is None:
-            target = reduce(FieldDescriptor.join, [v.field for v in values],
-                            self.field)
-        powers = [[lift(v, target)] for v in values]
-        total = target.zero()
-        for key, c in self.terms.items():
-            part = lift(c, target)
-            for table, e in zip(powers, key):
-                if e:
-                    while len(table) < e:
-                        table.append(table[-1] * table[0])
-                    part = part * table[e - 1]
-            total = total + part
-        return total
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -226,7 +200,7 @@ def _is_one(p: Poly) -> bool:
     if len(p.terms) != 1:
         return False
     (key, c), = p.terms.items()
-    return not any(key) and len(c.den.terms) == 1 and c.num == c.den
+    return not any(key) and len(c.den._t) == 1 and c.num == c.den
 
 
 def _cleared(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -236,7 +210,7 @@ def _cleared(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     dens = []
     for p in (num, den):
         for c in p.terms.values():
-            if len(c.den.terms) != 1 and c.den not in dens:
+            if len(c.den._t) != 1 and c.den not in dens:
                 dens.append(c.den)
     if not dens:
         return num, den
@@ -380,21 +354,60 @@ class RatFun:
     def eval_at(self, assignment: dict,
                 target: Optional[FieldDescriptor] = None
                 ) -> Union[FieldElement, PoleMarker]:
-        """Substitute; POLE when the denominator vanishes exactly."""
+        """Substitute; POLE when the denominator vanishes exactly, else one
+        FieldElement of `target` built from the two `_homogeneous` sums."""
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise ValueError(f"assignment misses {missing}")
+        values = [assignment[v] for v in self.variables]
         if target is None:
-            target = reduce(FieldDescriptor.join,
-                            [assignment[v].field for v in self.variables],
+            target = reduce(FieldDescriptor.join, [v.field for v in values],
                             self.field)
-        bottom = self.den.evaluate(assignment, target)
+        top, bottom = _homogeneous(self, values, target)
         if bottom.is_zero():
             return POLE
-        return self.num.evaluate(assignment, target) / bottom
+        return FieldElement(target, top, bottom)
 
     def __repr__(self):
         return f"<ratfun {format_ratfun(self)}>"
+
+
+def _homogeneous(f: RatFun, values: list,
+                 target: FieldDescriptor) -> tuple[HahnSum, HahnSum]:
+    """(N, M), sums in `target`'s group with f(values) = N/M: at n_i/d_i,
+    p in (num, den) gives sum c_k * prod n_i^k_i * d_i^(D_i - k_i), that is
+    p(values) * prod d_i^D_i for D_i = max(deg_i num, deg_i den) (Knuth,
+    TAOCP vol. 2, 4.6.4).  Coefficients have denominator 1 and enter as
+    numerators; powers are tabled on demand and a d_i of 1 is skipped."""
+    mask = None
+    if f.field is not target:
+        mask = f.field.embedding_mask_into(target)
+        if mask is None:
+            raise FieldMismatchError(
+                f"{f.field.name} does not embed in {target.name}")
+    group = target.group
+    degrees = [max(e) for e in zip(*f.num.terms, *f.den.terms)]
+    values = [lift(v, target) for v in values]
+    tables = [([v.num], [v.den] if len(v.den._t) != 1 else None)
+              for v in values]
+
+    def power(table: list, e: int) -> HahnSum:
+        while len(table) < e:
+            table.append(table[-1] * table[0])
+        return table[e - 1]
+
+    def total(p: Poly) -> HahnSum:
+        out = HahnSum.zero(group)
+        for key, c in p.terms.items():
+            part = c.num if mask is None else c.num._embedded(group, mask)
+            for (ns, ds), e, top in zip(tables, key, degrees):
+                if e:
+                    part = part * power(ns, e)
+                if ds is not None and top > e:
+                    part = part * power(ds, top - e)
+            out = out + part
+        return out
+    return total(f.num), total(f.den)
 
 
 # -- printing -------------------------------------------------------------------

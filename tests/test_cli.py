@@ -1,18 +1,22 @@
 """End-to-end tests of the command language: grammar, every command,
 error codes, golden probe output, determinism, and a reachability table
 pinning one command per library operation."""
+import importlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+import rplaces.ratfun
 from rplaces.cli import (
     _COMMANDS, _PROBES, Session, main, render_human, render_json, run,
     run_script,
 )
-from rplaces.ordfield import FieldDescriptor
-from rplaces.valgroup import LEX, ValueGroup
+from rplaces.ordfield import FieldDescriptor, FieldElement
+from rplaces.ratfun import RatFun
+from rplaces.valgroup import LEX, GroupElem, ValueGroup
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -581,13 +585,64 @@ class TestCoverage:
         "embed.nonconvex_witness": None,  # covered in TestQueries
     }
 
-    def test_every_operation_reachable(self):
+    # keys that are labels rather than module attributes, and the function
+    # each label stands for
+    LABELS = {
+        "valgroup.cmp": (GroupElem, "cmp"),
+        "ordfield.arithmetic": (FieldElement, "__mul__"),
+        "ordfield.cmp": (FieldElement, "cmp"),
+        "ordfield.valuation": (FieldElement, "val"),
+        "ordfield.residue": (FieldElement, "residue"),
+        "ordfield.expand": (FieldElement, "expand"),
+        "ratfun.parse_and_arithmetic": (rplaces.ratfun, "parse_ratfun"),
+        "ratfun.eval_at": (RatFun, "eval_at"),
+    }
+
+    @classmethod
+    def target(cls, op: str) -> tuple:
+        """(owner, name) of the function an entry names; a class entry
+        stands for its constructor."""
+        if op in cls.LABELS:
+            return cls.LABELS[op]
+        module, name = op.split(".")
+        owner = importlib.import_module(f"rplaces.{module}")
+        obj = getattr(owner, name)
+        return (obj, "__init__") if isinstance(obj, type) else (owner, name)
+
+    def test_every_operation_reachable(self, monkeypatch):
+        """Each command succeeds and runs the function its entry names.
+        A module function is wrapped in every rplaces namespace that holds
+        it, cli's own included, so indirect calls count too."""
+        calls = dict.fromkeys(self.OPERATIONS, 0)
+        for op, line in self.OPERATIONS.items():
+            if line is None:
+                continue
+            owner, name = self.target(op)
+            fn = vars(owner)[name]
+
+            def counted(*args, _op=op, _fn=fn, **kwargs):
+                calls[_op] += 1
+                return _fn(*args, **kwargs)
+            if isinstance(owner, type):
+                monkeypatch.setattr(owner, name, counted)
+                continue
+            for mod in list(sys.modules.values()):
+                if mod.__name__.startswith("rplaces") and \
+                        vars(mod).get(name) is fn:
+                    monkeypatch.setattr(mod, name, counted)
         sess = session()
         for op, line in sorted(self.OPERATIONS.items()):
             if line is None:
                 continue
+            calls[op] = 0
             record = run(sess, line)
             assert record is not None and "error" not in record, (op, record)
+            assert calls[op], f"{line!r} does not run {op}"
+
+    def test_the_evaluation_entries_are_checked(self):
+        for op in ("places.eval_place", "places.harrison", "ratfun.eval_at"):
+            assert self.OPERATIONS[op] is not None
+            assert callable(getattr(*self.target(op)))
 
     def test_command_table_is_the_documented_set(self):
         assert sorted(_COMMANDS) == sorted([

@@ -14,7 +14,7 @@ from rplaces.ordfield import (
     _mask_search, adjoin_infinitesimal, approx_analysis, declare_embedding,
     lift, settled_analysis,
 )
-from rplaces.valgroup import LEX, WEIGHTED, ValueGroup
+from rplaces.valgroup import LEX, WEIGHTED, ValueGroup, check_mask
 
 Q = Fraction
 
@@ -224,6 +224,33 @@ class TestEmbeddingMemo:
             assert_masks_match_the_search(fields)
             grow_tower(fields, rng, i)
         assert_masks_match_the_search(fields)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_every_answer_is_an_increasing_mask(self, seed):
+        # lift and the evaluation of rational functions use the answer
+        # unchecked: each edge is checked when it is declared, and chains
+        # compose increasing masks
+        rng = random.Random(seed)
+        r = rng.randint(1, 2)
+        A = FieldDescriptor("A", None, ValueGroup(LEX, r))
+        fields = [A]
+        for i in range(8):
+            grow_tower(fields, rng, i)
+        # a diamond closed by an explicit declaration with an unsorted mask
+        B = A.extend_coeff("B", 2)
+        C = A.extend_group("C", ValueGroup(LEX, r + 2),
+                           mask=rng.sample(range(r + 2), r))
+        D = C.extend_coeff("D", 2)
+        declare_embedding(B, D, rng.sample(range(r + 2), r))
+        fields += [B, C, D]
+        assert B.embedding_mask_into(D) is not None
+        for a in fields:
+            for b in fields:
+                mask = a.embedding_mask_into(b)
+                if mask is not None:
+                    assert mask == check_mask(mask, b.group)
+                    assert len(mask) == a.group.rank
 
     def test_declared_diamond_replaces_a_remembered_none(self):
         A = rank1_field("A")

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ratfun_reference import evaluate_per_term
 import rplaces.cuts as cuts_module
 import rplaces.places as places_module
 from rplaces.coeff import QuadExt
-from rplaces.valgroup import LEX, LOWER, UPPER, ValueGroup
+from rplaces.valgroup import LEX, LOWER, UPPER, WEIGHTED, ValueGroup
 from rplaces.ordfield import INF, FieldDescriptor, FieldMismatchError, lift
 from rplaces.ratfun import POLE, Poly, RatFun, format_ratfun, parse_ratfun
 from rplaces.balls import Ball
@@ -514,9 +516,10 @@ class TestRationalCompose:
 
 def quotient_value(place, f):
     """eval_place at a realized place through the residue of the full
-    quotient nv / dv: the reference for reading it from leading terms."""
-    nv = f.num.evaluate(place.realization, place.field)
-    dv = f.den.evaluate(place.realization, place.field)
+    quotient nv / dv, both substituted term by term: the reference for
+    reading it from the leading terms of two sums."""
+    nv = evaluate_per_term(f.num, place.realization, place.field)
+    dv = evaluate_per_term(f.den, place.realization, place.field)
     if dv.is_zero():
         if nv.is_zero():
             raise ArithmeticError("0/0")
@@ -589,6 +592,58 @@ class TestResidueFromLeadingTerms:
                  "1/(x - 2)", "(x^2 - 4)/(x - 2)", "x/t^(1)")
         for i, P in enumerate(composed):
             self.check(P, K, ("x",), texts, 200 + i)
+
+
+class TestQuotientRealizations:
+    """Realizing values whose denominator is not 1, such as
+    (1 + t)/(2 + t^2): the powers of their denominators enter every term."""
+
+    @staticmethod
+    def setting(kind):
+        """(base, extension, realizing values of x and y)."""
+        if kind == "weighted":
+            k = FieldDescriptor("k", 2, ValueGroup(LEX, 0))
+            W = k.extend_group("W", ValueGroup(WEIGHTED, 2,
+                                               (QuadExt(1), SQRT2)), ())
+            s, u = W.monomial(W.group.elem(1, 0)), \
+                W.monomial(W.group.elem(0, 1))
+            return k, W, ((1 + s) / (2 + u * u),
+                          (W.const(SQRT2) + u) / (1 + s))
+        R = rational_field()
+        if kind == "sqrt 2":
+            F = R.extend_coeff("R2", 2)
+            t = F.monomial(F.group.elem(1))
+            return R, F, ((1 + t) / (2 + t * t),
+                          (2 + F.const(SQRT2) * t) / (3 + t))
+        F = R.extend_group("F2", ValueGroup(LEX, 2), (1,))
+        s, u = F.monomial(F.group.elem(1, 0)), F.monomial(F.group.elem(0, 1))
+        return R, F, ((1 + u) / (2 + u * u), (s + u) / (1 - s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["sqrt 2", "lex 2", "weighted"]))
+    def test_eval_place_matches_the_full_quotient(self, seed, kind):
+        base, F, (a, b) = self.setting(kind)
+        assert len(a.den.terms) > 1 and len(b.den.terms) > 1
+        place = realized_place(base, {"x": a, "y": b})
+        rng = random.Random(seed)
+        # removable and true zeros and poles at the residues of a and b
+        ra, rb = base.const(a.residue()), base.const(b.residue())
+        fs = [random_ratfun(rng, base, ("x", "y")) for _ in range(3)]
+        X = RatFun.var(base, ("x", "y"), "x")
+        Y = RatFun.var(base, ("x", "y"), "y")
+        fs += [X - ra, 1 / (Y - rb), (X - ra) * (Y - rb) / (X - ra) ** 2,
+               fs[0] * (X - ra) ** 2 / (Y - rb)]
+        seen = set()
+        for f in fs:
+            want = quotient_value(place, f)
+            got = eval_place(place, f)
+            assert got == want
+            if got.is_finite():
+                assert (got.value.a, got.value.b, got.value.d) == \
+                    (want.value.a, want.value.b, want.value.d)
+            seen.add(outcome(got))
+        assert seen == {"zero", "inf", "finite"}
 
 
 class TestSeparatingSearch:

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ratfun_reference import evaluate_per_term
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import (
     FieldDescriptor, FieldElement, FieldMismatchError, lift,
@@ -15,7 +16,7 @@ from rplaces.ratfun import (
     POLE, Poly, PoleMarker, RatFun, RatFunSyntaxError, format_poly,
     format_ratfun, parse_ratfun,
 )
-from rplaces.valgroup import LEX, ValueGroup
+from rplaces.valgroup import LEX, WEIGHTED, ValueGroup
 
 Q = Fraction
 
@@ -201,42 +202,6 @@ class TestEval:
 
     def test_pole_is_singleton(self):
         assert PoleMarker() is POLE
-
-
-def evaluate_per_term(p, assignment, target):
-    """Poly.evaluate with a fresh `v ** e` in every term: the reference
-    the power table must reproduce representation for representation."""
-    values = [lift(assignment[v], target) for v in p.variables]
-    total = target.zero()
-    for key, c in p.terms.items():
-        part = lift(c, target)
-        for v, e in zip(values, key):
-            if e:
-                part = part * v ** e
-        total = total + part
-    return total
-
-
-class TestPowerTable:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32), st.sampled_from([("y",), ("x", "y")]),
-           st.booleans())
-    def test_matches_per_term_powers(self, seed, variables, extend):
-        rng = random.Random(seed)
-        R = rational_field()
-        F = R.extend_coeff("F", 2) if extend else R
-        p = random_poly(R, rng, variables, allow_zero=True)
-        assignment = {}
-        for v in variables:
-            value = random_coeff(F, rng)
-            if extend and rng.randrange(2):
-                value = value + F.const(QuadExt(0, rng.randint(1, 3), 2))
-            assignment[v] = value
-        got = p.evaluate(assignment)
-        want = evaluate_per_term(p, assignment, F)
-        assert got.field is want.field is F
-        assert got.num.terms == want.num.terms
-        assert got.den.terms == want.den.terms
 
 
 class TestText:
@@ -490,12 +455,17 @@ def coeff_in(F, rng):
 
 
 def poly_in(F, rng, vs, allow_zero=True, most=3):
-    terms = {}
-    for _ in range(rng.randint(0 if allow_zero else 1, most)):
-        terms[tuple(rng.randint(0, 3) for _ in vs)] = coeff_in(F, rng)
-    if rng.randrange(3) == 0:            # a bare variable: coefficient 1
-        return ref_add(Poly(F, vs, terms), ref_var(F, vs, rng.choice(vs)))
-    return Poly(F, vs, terms)
+    """A random polynomial; with allow_zero=False it is redrawn until it is
+    nonzero, since adding a bare variable can cancel a coefficient -1."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(0 if allow_zero else 1, most)):
+            terms[tuple(rng.randint(0, 3) for _ in vs)] = coeff_in(F, rng)
+        p = Poly(F, vs, terms)
+        if rng.randrange(3) == 0:            # a bare variable: coefficient 1
+            p = ref_add(p, ref_var(F, vs, rng.choice(vs)))
+        if allow_zero or not p.is_zero():
+            return p
 
 
 FIELD_KINDS = st.sampled_from(["Q", "Q(sqrt 2)", "lex 2"])
@@ -534,6 +504,8 @@ class TestTrustedResults:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32), FIELD_KINDS, VARIABLES,
            st.integers(-2, 2))
+    # this seed once drew the zero polynomial as a denominator
+    @example(seed=242, kind="Q", vs=("y",), n=0)
     def test_ratfun_ops_match_the_validating_constructor(self, seed, kind,
                                                          vs, n):
         rng = random.Random(seed)
@@ -618,6 +590,78 @@ class TestTrustedResults:
                 assert got == p
                 assert stored(got) == stored(ref_mul(p, one))
                 assert (stored(got) == stored(p)) if plain else True
+
+
+def eval_setting(kind):
+    """(B, T): functions over B, values in T.  T is B, or B with sqrt(2)
+    coefficients, or B's exponents placed at coordinate 1 of a rank-2 lex
+    group, or a weighted group over constants with sqrt(2) coefficients."""
+    if kind == "Q":
+        B = rational_field()
+        return B, B.extend_coeff("R2", 2)
+    if kind == "Q(sqrt 2)":
+        B = rational_field().extend_coeff("R2", 2)
+        return B, B
+    if kind == "lex 2":
+        B = rational_field()
+        return B, B.extend_group("F2", ValueGroup(LEX, 2), (1,))
+    B = FieldDescriptor("k", 2, ValueGroup(LEX, 0))
+    return B, B.extend_group(
+        "W", ValueGroup(WEIGHTED, 2, (QuadExt(1), QuadExt.sqrt(2))), ())
+
+
+def quotient_in(F, rng):
+    """(a + m)/(b + m^2) for a monomial m of nonzero value, such as
+    (1 + t)/(2 + t^2): an element whose denominator is not 1."""
+    g = F.group.elem(*(Q(rng.choice((1, -1)) * rng.randint(1, 3),
+                         rng.randint(1, 2)) for _ in range(F.group.rank)))
+    m = F.monomial(g)
+    x = (F.const(rng.randint(-3, 3)) + m) / \
+        (F.const(rng.randint(1, 4)) + m * m)
+    assert len(x.den.terms) == 2
+    return x
+
+
+class TestCommonDenominatorEvaluation:
+    """eval_at against substitution term by term (tests/ratfun_reference.py):
+    the same value, and POLE exactly when the reference denominator is 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["Q", "Q(sqrt 2)", "lex 2", "weighted"]),
+           VARIABLES, st.booleans())
+    def test_eval_at_matches_per_term_substitution(self, seed, kind, vs,
+                                                   pole):
+        rng = random.Random(seed)
+        B, T = eval_setting(kind)
+        num = poly_in(B, rng, vs)
+        den = poly_in(B, rng, vs, allow_zero=False)
+        # mostly values with a denominator; some stay in B and are lifted
+        assignment = {v: quotient_in(T, rng) if rng.randrange(3)
+                      else coeff_in(B, rng) for v in vs}
+        if pole:
+            v, a = rng.choice(vs), coeff_in(B, rng)
+            den = ref_mul(den, ref_add(ref_var(B, vs, v),
+                                       ref_const(B, vs, -a)))
+            assignment[v] = a if rng.randrange(2) else lift(a, T)
+        f = RatFun(num, den)
+        target = B
+        for x in assignment.values():
+            target = target.join(x.field)
+        want_den = evaluate_per_term(f.den, assignment, target)
+        got = f.eval_at(assignment)
+        if want_den.is_zero():
+            assert got is POLE
+            return
+        assert got is not POLE and got.field is target
+        assert got == evaluate_per_term(f.num, assignment, target) / want_den
+        assert f.eval_at(assignment, T) == got
+
+    def test_field_without_an_embedding_is_refused(self):
+        R, other = rational_field(), rational_field("other")
+        y = RatFun.var(R, ("y",), "y")
+        with pytest.raises(FieldMismatchError, match="R does not embed"):
+            (y + 1).eval_at({"y": other.one()}, other)
 
 
 class TestBuildCost:
