@@ -290,6 +290,11 @@ class HahnSum:
         return _unit(group)
 
     @staticmethod
+    def _int(group: ValueGroup, k: int) -> "HahnSum":
+        """The stored form of the integer k, built without a scaling."""
+        return _sum(group, 1, 1, None, {(0,) * group.rank: k} if k else {})
+
+    @staticmethod
     def monomial(group: ValueGroup, g: GroupElem, c: QuadExt) -> "HahnSum":
         return _unit(group).scale(c).shift(g)
 

@@ -7,9 +7,10 @@ is a plain sum.  `RatFun(num, den)` multiplies coefficient denominators out
 of its input once; arithmetic on such pairs keeps them 1.  The pair is
 normalised by the rule FieldElement applies to its own num/den: both are
 divided by the leading monomial of den's leading coefficient, and 0 is
-stored as 0/1.  Fractions are never gcd-reduced.  Substitution makes num
-and den two plain sums over one common denominator (`_homogeneous`); their
-quotient is the value, and a zero den sum is a pole.
+stored as 0/1.  A parse carries one unnormalised pair of plain-sum term
+dicts and normalises it once (`_Parser`).  Fractions are never gcd-reduced.
+Substitution makes num and den two plain sums over one common denominator
+(`_homogeneous`); their quotient is the value, and a zero den sum is a pole.
 
 Invariant: a Poly's terms map int exponent tuples, one entry per variable,
 to nonzero elements of its field.  The public constructor checks and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from .coeff import QuadExt
@@ -119,10 +121,7 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         a, b = self._pair(other)
-        out = dict(a.terms)
-        for k, c in b.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return _poly(self.field, self.variables, _nonzero(out))
+        return _poly(self.field, self.variables, _sum_terms(a.terms, b.terms))
 
     __radd__ = __add__
 
@@ -143,27 +142,16 @@ class Poly:
             return b
         if _is_one(b):
             return a
-        out: dict = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-                c = c1 * c2
-                out[k] = out[k] + c if k in out else c
-        return _poly(self.field, self.variables, _nonzero(out))
+        return _poly(self.field, self.variables,
+                     _product_terms(a.terms, b.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(self.field, self.variables, self.field.one())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Poly.const(self.field, self.variables,
+                                          self.field.one()), mul)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -188,8 +176,35 @@ def _poly(field: FieldDescriptor, variables: tuple, terms: dict) -> Poly:
     return p
 
 
-def _nonzero(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if not c.is_zero()}
+def _sum_terms(a: dict, b: dict) -> dict:
+    """a + b for {exponent tuple: FieldElement or HahnSum} term dicts."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _product_terms(a: dict, b: dict) -> dict:
+    """a * b for term dicts, as in `_sum_terms`."""
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(map(add, k1, k2))
+            c = c1 * c2
+            out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _power(base, n: int, one, times):
+    """base^n for n >= 0 by square-and-multiply, with products `times`."""
+    out = one
+    while n:
+        if n & 1:
+            out = times(out, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return out
 
 
 def _is_one(p: Poly) -> bool:
@@ -324,14 +339,8 @@ class RatFun:
             if self.num.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RatFun(self.den, self.num) ** (-n)
-        out = RatFun.const(self.field, self.variables, self.field.one())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RatFun.const(self.field, self.variables,
+                                            self.field.one()), mul)
 
     def __eq__(self, other) -> bool:
         """Equality of functions: fractions are not reduced, so compare
@@ -506,7 +515,15 @@ def _tokenize(text: str) -> list:
 
 class _Parser:
     """Recursive descent over +, -, *, /, ^ with the usual precedence;
-    identifiers are the declared variables, `t` monomials, or `sqrt`."""
+    identifiers are the declared variables, `t` monomials, `sqrt` or bound
+    names.  Each rule returns an unnormalised pair (num, den) of term dicts
+    {int exponent tuple: HahnSum}, built by the RatFun operators' rules with
+    0 as 0/1, and `parse` normalises once.  Normalising a step would only
+    multiply num and den by a monomial c*t^g, constant in the variables,
+    which the final division by den's leading monomial removes.  So a
+    shortcut may change a pair by such a common factor and by nothing else
+    (fractions are not gcd-reduced): an integer literal is its stored sum,
+    and dividing by a one-term constant multiplies num by its inverse."""
 
     def __init__(self, text: str, field: FieldDescriptor,
                  variables: Sequence[str], names=None):
@@ -515,6 +532,8 @@ class _Parser:
         self.field = field
         self.variables = tuple(variables)
         self.names = names or {}
+        self.key = (0,) * len(self.variables)
+        self.one = {self.key: HahnSum.one(field.group)}
 
     def peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -528,85 +547,116 @@ class _Parser:
         return tok
 
     def parse(self) -> RatFun:
-        out = self.expr()
+        pair = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise RatFunSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return out
+        field, one = self.field, self.field.one().den
+        return RatFun(*(_poly(field, self.variables,
+                              {k: FieldElement(field, h, one)
+                               for k, h in p.items()}) for p in pair))
 
-    def expr(self) -> RatFun:
-        negate = False
+    def times(self, a: dict, b: dict) -> dict:
+        """a * b; the dict `one` multiplies as the identity."""
+        if a is self.one:
+            return b
+        return a if b is self.one else _product_terms(a, b)
+
+    def product(self, x: tuple, y: tuple) -> tuple:
+        num = self.times(x[0], y[0])
+        return (num, self.times(x[1], y[1])) if num else (num, self.one)
+
+    def const(self, h: HahnSum) -> tuple:
+        return {self.key: h} if h._t else {}, self.one
+
+    def expr(self) -> tuple:
+        num, den = {}, self.one
+        op = "+"
         if self.peek()[0] == "-":
-            self.take()
-            negate = True
-        out = self.term()
-        if negate:
-            out = -out
-        while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+        while True:
+            n2, d2 = self.term()
+            if op == "-":
+                n2 = {k: -h for k, h in n2.items()}
+            num = _sum_terms(self.times(num, d2), self.times(n2, den))
+            den = self.times(den, d2) if num else self.one
+            if self.peek()[0] not in ("+", "-"):
+                return num, den
+            op = self.take()[0]
 
-    def term(self) -> RatFun:
+    def term(self) -> tuple:
         out = self.power()
         while self.peek()[0] in ("*", "/"):
             op = self.take()[0]
-            rhs = self.power()
+            num, den = self.power()
             if op == "*":
-                out = out * rhs
+                out = self.product(out, (num, den))
+            elif not num:
+                raise RatFunSyntaxError("division by zero", self.peek()[2])
+            elif den is self.one and num.keys() == {self.key} and \
+                    len(num[self.key]._t) == 1:
+                f = num[self.key]._monic_factor()
+                out = ({k: h._times_monomial(*f) for k, h in out[0].items()},
+                       out[1])
             else:
-                if rhs.is_zero():
-                    raise RatFunSyntaxError(
-                        "division by zero", self.peek()[2])
-                out = out / rhs
+                out = self.product(out, (den, num))
         return out
 
-    def power(self) -> RatFun:
-        kind, name, at = self.peek()
+    def power(self) -> tuple:
+        kind, name, _ = self.peek()
         if kind == "name" and name == "t" and \
                 name not in self.variables and \
                 self.tokens[self.pos + 1][0] == "^":
             return self.hahn_monomial()
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            base = base ** self.signed_int()
-        return base
+        if self.peek()[0] != "^":
+            return base
+        at = self.take()[2]
+        n = self.signed_int()
+        if n < 0:
+            if not base[0]:
+                raise RatFunSyntaxError("division by zero", at)
+            base, n = base[::-1], -n
+        return _power(base, n, (self.one, self.one), self.product)
 
-    def atom(self) -> RatFun:
+    def atom(self) -> tuple:
         kind, text, at = self.take()
         if kind == "num":
-            # fractions like 7/5 arrive as divisions and normalize away
-            return RatFun.const(self.field, self.variables, int(text))
+            # fractions like 7/5 arrive as divisions by a constant
+            return self.const(HahnSum._int(self.field.group, int(text)))
         if kind == "(":
             out = self.expr()
             self.take(")")
             return out
         if kind == "name":
             if text in self.variables:
-                return RatFun.var(self.field, self.variables, text)
+                key = tuple(int(v == text) for v in self.variables)
+                return {key: self.one[self.key]}, self.one
             if text == "sqrt":
                 self.take("(")
                 d = int(self.take("num")[1])
                 self.take(")")
-                return RatFun.const(self.field, self.variables,
-                                    self.field.const(QuadExt(0, 1, d)))
+                return self.const(self.field.const(QuadExt(0, 1, d)).num)
             if text == "t":
-                exp = self.field.group.elem(
-                    *([Fraction(1)] + [Fraction(0)] *
-                      (self.field.group.rank - 1)))
-                return RatFun.const(self.field, self.variables,
-                                    self.field.monomial(exp))
+                rank = self.field.group.rank
+                if not rank:
+                    raise RatFunSyntaxError(
+                        "exponent rank 1 does not match the field", at)
+                return self.monomial([1] + [0] * (rank - 1))
             if text in self.names:
                 val = self.names[text]
                 if val.field is not self.field:
                     val = lift(val, self.field)
-                return RatFun.const(self.field, self.variables, val)
+                den = self.one if len(val.den._t) == 1 else {self.key: val.den}
+                return self.const(val.num)[0], den
             raise RatFunSyntaxError(f"unknown name {text!r}", at)
         raise RatFunSyntaxError(f"unexpected token {text!r}", at)
 
-    def hahn_monomial(self) -> RatFun:
+    def monomial(self, coords: list) -> tuple:
+        group = self.field.group
+        return self.const(HahnSum.one(group).shift(group.elem(*coords)))
+
+    def hahn_monomial(self) -> tuple:
         self.take("name")
         self.take("^")
         self.take("(")
@@ -624,9 +674,7 @@ class _Parser:
             raise RatFunSyntaxError(
                 f"exponent rank {len(coords)} does not match the field",
                 self.peek()[2])
-        exp = self.field.group.elem(*coords)
-        return RatFun.const(self.field, self.variables,
-                            self.field.monomial(exp))
+        return self.monomial(coords)
 
     def fraction(self) -> Fraction:
         sign = 1

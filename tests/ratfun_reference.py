@@ -1,11 +1,23 @@
-"""Substitution into polynomials term by term, in FieldElement arithmetic.
+"""Slow references for `rplaces.ratfun`.
 
-The reference that `RatFun.eval_at` and `places.eval_place` are checked
-against: every term lifts its coefficient and takes a fresh `v ** e` of each
-value, and the terms are added as field elements.  Nothing is shared between
-terms and no common denominator is formed.
+`evaluate_per_term`: substitution into polynomials term by term, in
+FieldElement arithmetic.  The reference that `RatFun.eval_at` and
+`places.eval_place` are checked against: every term lifts its coefficient
+and takes a fresh `v ** e` of each value, and the terms are added as field
+elements.  Nothing is shared between terms and no common denominator is
+formed.
+
+`parse_per_token`: the parser that builds a RatFun for every token and
+normalises after every operator, through the public RatFun arithmetic.
+`parse_ratfun` carries one unnormalised pair instead and is checked against
+it for equal stored forms and equal errors.
 """
-from rplaces.ordfield import lift
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from rplaces.coeff import QuadExt
+from rplaces.ordfield import FieldDescriptor, lift
+from rplaces.ratfun import RatFun, RatFunSyntaxError, _tokenize
 
 
 def evaluate_per_term(p, assignment, target):
@@ -19,3 +31,162 @@ def evaluate_per_term(p, assignment, target):
                 part = part * v ** e
         total = total + part
     return total
+
+
+class _PerTokenParser:
+    """Recursive descent over +, -, *, /, ^ with the usual precedence;
+    identifiers are the declared variables, `t` monomials, or `sqrt`.
+    Every token becomes a RatFun and every operator builds, and so
+    normalises, another one."""
+
+    def __init__(self, text: str, field: FieldDescriptor,
+                 variables: Sequence[str], names=None):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.field = field
+        self.variables = tuple(variables)
+        self.names = names or {}
+
+    def peek(self) -> tuple:
+        return self.tokens[self.pos]
+
+    def take(self, kind: Optional[str] = None) -> tuple:
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise RatFunSyntaxError(
+                f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def parse(self) -> RatFun:
+        out = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise RatFunSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+        return out
+
+    def expr(self) -> RatFun:
+        negate = False
+        if self.peek()[0] == "-":
+            self.take()
+            negate = True
+        out = self.term()
+        if negate:
+            out = -out
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            rhs = self.term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def term(self) -> RatFun:
+        out = self.power()
+        while self.peek()[0] in ("*", "/"):
+            op = self.take()[0]
+            rhs = self.power()
+            if op == "*":
+                out = out * rhs
+            else:
+                if rhs.is_zero():
+                    raise RatFunSyntaxError(
+                        "division by zero", self.peek()[2])
+                out = out / rhs
+        return out
+
+    def power(self) -> RatFun:
+        kind, name, at = self.peek()
+        if kind == "name" and name == "t" and \
+                name not in self.variables and \
+                self.tokens[self.pos + 1][0] == "^":
+            return self.hahn_monomial()
+        base = self.atom()
+        if self.peek()[0] == "^":
+            at = self.take()[2]
+            n = self.signed_int()
+            if n < 0 and base.is_zero():
+                raise RatFunSyntaxError("division by zero", at)
+            base = base ** n
+        return base
+
+    def atom(self) -> RatFun:
+        kind, text, at = self.take()
+        if kind == "num":
+            # fractions like 7/5 arrive as divisions and normalize away
+            return RatFun.const(self.field, self.variables, int(text))
+        if kind == "(":
+            out = self.expr()
+            self.take(")")
+            return out
+        if kind == "name":
+            if text in self.variables:
+                return RatFun.var(self.field, self.variables, text)
+            if text == "sqrt":
+                self.take("(")
+                d = int(self.take("num")[1])
+                self.take(")")
+                return RatFun.const(self.field, self.variables,
+                                    self.field.const(QuadExt(0, 1, d)))
+            if text == "t":
+                if self.field.group.rank == 0:
+                    raise RatFunSyntaxError(
+                        "exponent rank 1 does not match the field", at)
+                exp = self.field.group.elem(
+                    *([Fraction(1)] + [Fraction(0)] *
+                      (self.field.group.rank - 1)))
+                return RatFun.const(self.field, self.variables,
+                                    self.field.monomial(exp))
+            if text in self.names:
+                val = self.names[text]
+                if val.field is not self.field:
+                    val = lift(val, self.field)
+                return RatFun.const(self.field, self.variables, val)
+            raise RatFunSyntaxError(f"unknown name {text!r}", at)
+        raise RatFunSyntaxError(f"unexpected token {text!r}", at)
+
+    def hahn_monomial(self) -> RatFun:
+        self.take("name")
+        self.take("^")
+        self.take("(")
+        if self.peek()[0] == "(":
+            self.take()
+            coords = [self.fraction()]
+            while self.peek()[0] == ",":
+                self.take()
+                coords.append(self.fraction())
+            self.take(")")
+        else:
+            coords = [self.fraction()]
+        self.take(")")
+        if len(coords) != self.field.group.rank:
+            raise RatFunSyntaxError(
+                f"exponent rank {len(coords)} does not match the field",
+                self.peek()[2])
+        exp = self.field.group.elem(*coords)
+        return RatFun.const(self.field, self.variables,
+                            self.field.monomial(exp))
+
+    def fraction(self) -> Fraction:
+        sign = 1
+        if self.peek()[0] == "-":
+            self.take()
+            sign = -1
+        top = int(self.take("num")[1])
+        if self.peek()[0] == "/":
+            self.take()
+            _, text, at = self.take("num")
+            if int(text) == 0:
+                raise RatFunSyntaxError("zero denominator in an exponent", at)
+            return Fraction(sign * top, int(text))
+        return Fraction(sign * top)
+
+    def signed_int(self) -> int:
+        sign = 1
+        if self.peek()[0] == "-":
+            self.take()
+            sign = -1
+        return sign * int(self.take("num")[1])
+
+
+def parse_per_token(text: str, field: FieldDescriptor,
+                    variables: Sequence[str], names=None) -> RatFun:
+    return _PerTokenParser(text, field, variables, names).parse()

@@ -14,7 +14,7 @@ from rplaces.cli import (
     _COMMANDS, _PROBES, Session, main, render_human, render_json, run,
     run_script,
 )
-from rplaces.ordfield import FieldDescriptor, FieldElement
+from rplaces.ordfield import FieldDescriptor, FieldElement, HahnSum
 from rplaces.ratfun import RatFun
 from rplaces.valgroup import LEX, GroupElem, ValueGroup
 
@@ -437,6 +437,24 @@ class TestErrorCodes:
         assert code(sess, "eval G t^(1/0)") == "syntax"
         assert "a" not in sess.elems
 
+    def test_bare_t_in_a_rank_zero_field_is_a_syntax_error(self):
+        sess = session()
+        for text, at in (("t", 0), ("2*t + 1", 2), ("t^(1)", 5)):
+            assert run(sess, f"def-elem a0 in Q0 = {text}")["error"] == {
+                "code": "syntax", "message": "exponent rank 1 does not "
+                f"match the field at position {at}"}
+        assert "a0" not in sess.elems
+
+    def test_negative_power_of_zero_is_division_by_zero(self):
+        sess = session()
+        for text, at in (("0^-1", 1), ("(1-1)^-2", 5), ("1/0", 3)):
+            assert run(sess, f"def-elem z0 in Q0 = {text}")["error"] == {
+                "code": "syntax",
+                "message": f"division by zero at position {at}"}
+        assert code(sess, "eval P1 (y - y)^-1") == "syntax"
+        assert "z0" not in sess.elems
+        assert ok(sess, "def-elem z0 in Q0 = 0^0")["value"] == "1"
+
     def test_type(self):
         sess = session()
         ok(sess, "def-place Z1 = residue R")
@@ -540,7 +558,8 @@ class TestCoverage:
         "valgroup.is_convex": "embed exists R in F",
         "valgroup.is_cofinal": "embed principal R in F",
         "valgroup.segment_above": "between complement B in F",
-        "ordfield.arithmetic": "def-elem cov1 in R = (1 + t^(1))*a/b - a",
+        "ordfield.arithmetic": "probe axioms",
+        "ordfield.hahn_arithmetic": "def-elem cov1 in R = (1 + t^(1))*a/b - a",
         "ordfield.cmp": "cmp elem a b",
         "ordfield.valuation": "val a",
         "ordfield.residue": "residue a",
@@ -590,6 +609,8 @@ class TestCoverage:
     LABELS = {
         "valgroup.cmp": (GroupElem, "cmp"),
         "ordfield.arithmetic": (FieldElement, "__mul__"),
+        # a parse multiplies the Hahn sums of one pair (num, den)
+        "ordfield.hahn_arithmetic": (HahnSum, "__mul__"),
         "ordfield.cmp": (FieldElement, "cmp"),
         "ordfield.valuation": (FieldElement, "val"),
         "ordfield.residue": (FieldElement, "residue"),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratfun_reference import evaluate_per_term
+from ratfun_reference import evaluate_per_term, parse_per_token
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import (
     FieldDescriptor, FieldElement, FieldMismatchError, lift,
@@ -294,6 +294,28 @@ class TestText:
         for text, at in (("t^(1/0)", 5), ("y + t^(-2/0)", 10)):
             with pytest.raises(RatFunSyntaxError) as info:
                 parse_ratfun(text, R, ("y",))
+            assert info.value.position == at
+
+    def test_negative_power_of_zero_is_division_by_zero(self):
+        # in text, at the ^; a library caller keeps ZeroDivisionError
+        R = rational_field()
+        for text, at in (("0^-1", 1), ("(1-1)^-2", 5), ("y + (y - y)^-1", 11),
+                         ("1/0", 3)):
+            with pytest.raises(RatFunSyntaxError,
+                               match="^division by zero at") as info:
+                parse_ratfun(text, R, ("y",))
+            assert info.value.position == at
+        assert parse_ratfun("0^0 + 0^2", R, ("y",)) == 1
+        with pytest.raises(ZeroDivisionError, match="negative power of zero"):
+            RatFun.const(R, ("y",), 0) ** -1
+
+    def test_bare_t_needs_a_rank(self):
+        Q0 = FieldDescriptor("Q0", None, ValueGroup(LEX, 0))
+        for text, at in (("t", 0), ("2*t + 1", 2), ("t^(1)", 5)):
+            with pytest.raises(RatFunSyntaxError,
+                               match="^exponent rank 1 does not match"
+                               ) as info:
+                parse_ratfun(text, Q0, ())
             assert info.value.position == at
 
 
@@ -664,12 +686,139 @@ class TestCommonDenominatorEvaluation:
             (y + 1).eval_at({"y": other.one()}, other)
 
 
+# -- the parser against the per-token reference ------------------------------
+#
+# parse_ratfun carries one unnormalised (num, den) pair and normalises once;
+# parse_per_token (tests/ratfun_reference.py) builds a RatFun per token and
+# normalises after every operator.  Their stored forms, printed forms and
+# errors must agree.
+
+def text_atoms(F, rng, vs, names):
+    """(atoms, poison): tokens that stand alone in F, namely literals,
+    variables, t monomials, sqrt(2) when F has it and the names bound to
+    elements of F or of a subfield; and tokens F refuses: unknown names,
+    names bound outside F, sqrt(3), t at a wrong rank."""
+    rank = F.group.rank
+    c = [f"{rng.randint(-3, 3)}/{rng.randint(1, 2)}" for _ in range(rank)]
+    monos = ["t", f"t^({c[0]})" if rank == 1 else f"t^(({','.join(c)}))"] \
+        if rank else []
+    inside = [k for k, x in names.items()
+              if x.field.embedding_mask_into(F) is not None]
+    atoms = [str(rng.randint(0, 9)), str(rng.randint(10, 99)), "0", "1",
+             *monos, *monos, *vs, *vs, *inside, *inside]
+    poison = ["w", "sqrt(3)", "t^((1,2,3))", "t" if not rank else "t^()",
+              *(k for k in names if k not in inside)]
+    (atoms if F.coeff_d == 2 else poison).append("sqrt(2)")
+    return atoms, poison
+
+
+def expr_text(rng, atoms, depth):
+    """Text from the grammar: sums, differences (X - X among them),
+    products, quotients and powers, negative ones included, with and
+    without parentheses."""
+    if depth == 0 or rng.randrange(4) == 0:
+        return rng.choice(atoms)
+    a = expr_text(rng, atoms, depth - 1)
+    kind = rng.randrange(8)
+    if kind == 0:
+        return f"({a})^{rng.randint(-2, 2)}"
+    if kind == 1:
+        return f"{rng.choice(atoms)}^{rng.randint(-2, 3)}"
+    if kind == 2:
+        return f"-{a}" if rng.randrange(2) else f"({a} - {a})"
+    b = expr_text(rng, atoms, depth - 1)
+    op = "+-*/"[kind - 3] if kind < 7 else rng.choice("+-*/")
+    if rng.randrange(2):
+        return f"({a}) {op} ({b})"
+    return f"{a} {op} {b}"
+
+
+def malformed(rng, text):
+    """text with one character dropped or one stray character inserted."""
+    i = rng.randrange(len(text) + 1)
+    if rng.randrange(2) and text:
+        return text[:i] + text[i + 1:]
+    return text[:i] + rng.choice("+-*/^(),$0t") + text[i:]
+
+
+def parse_outcome(parse, text, F, vs, names):
+    try:
+        return parse(text, F, vs, names), None
+    except Exception as exc:        # the two must fail alike
+        return None, exc
+
+
+def assert_same_parse(got, want):
+    (f, f_exc), (g, g_exc) = got, want
+    if f_exc is not None or g_exc is not None:
+        assert type(f_exc) is type(g_exc) and str(f_exc) == str(g_exc)
+        assert getattr(f_exc, "position", None) == \
+            getattr(g_exc, "position", None)
+        return
+    one = f.field.one().den
+    for p, q in ((f.num, g.num), (f.den, g.den)):
+        assert p.terms.keys() == q.terms.keys()
+        for k, c in p.terms.items():
+            assert c.den == one and q.terms[k].den == one
+            assert c.num == q.terms[k].num
+    assert format_ratfun(f) == format_ratfun(g)
+
+
+class TestParseAgainstPerToken:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["Q", "Q(sqrt 2)", "lex 2", "weighted"]),
+           VARIABLES, st.booleans())
+    def test_stored_forms_and_errors_match(self, seed, kind, vs, sub):
+        rng = random.Random(seed)
+        B, T = eval_setting(kind)
+        # parse in the base field or in its extension; names bound in the
+        # base field are lifted, names of the extension may be refused
+        F = B if sub else T
+        if F.group.rank == 0:
+            vs = ()
+        names = {"z": F.zero(), "u": F.one(), "c": coeff_in(B, rng),
+                 "d": coeff_in(T, rng)}
+        # names whose den is not 1, such as (1 + t)/(2 + t^2)
+        if B.group.rank:
+            names["q"] = quotient_in(B, rng)
+        if T.group.rank:
+            names["p"] = quotient_in(T, rng)
+        atoms, poison = text_atoms(F, rng, vs, names)
+        for _ in range(4):
+            if rng.randrange(4):
+                text = expr_text(rng, atoms, 3)
+            else:                 # one refused token, perhaps deep inside
+                text = expr_text(rng, atoms + [rng.choice(poison)], 3)
+            if rng.randrange(6) == 0:
+                text = malformed(rng, text)
+            assert_same_parse(parse_outcome(parse_ratfun, text, F, vs, names),
+                              parse_outcome(parse_per_token, text, F, vs,
+                                            names))
+
+    @pytest.mark.parametrize("text", [
+        "0", "z", "z/q", "(q - q)*q + q", "(q - q) + q", "q + q*0",
+        "q/(u - u)", "0^-1", "(z - 0)^-2",
+        "y^-1 - (y - y)", "(q + y)^-2/(3*q)", "7/5/t", "t^(1/2)/t^(1/2)",
+        "(t + y)/(2*t)", "sqrt(2)*y/sqrt(2)", "q^-2", "1/q - (1/q)^2",
+        "((y))", "y^(1)", "y -", "t^(1", "q q", "-(-y)"])
+    def test_fixed_texts_match(self, text):
+        B, T = eval_setting("Q(sqrt 2)")
+        rng = random.Random(7)
+        names = {"z": T.zero(), "u": T.one(), "q": quotient_in(B, rng)}
+        for vs in (("y",), ("x", "y")):
+            assert_same_parse(parse_outcome(parse_ratfun, text, T, vs, names),
+                              parse_outcome(parse_per_token, text, T, vs,
+                                            names))
+
+
 class TestBuildCost:
     def test_parse_runs_no_subtraction_and_shares_the_unit(self,
                                                            monkeypatch):
         R = rational_field()
-        counts = {"sub": 0, "const": 0}
-        sub, const = FieldElement.__sub__, FieldDescriptor.const
+        counts = {"sub": 0, "const": 0, "ratfun": 0}
+        sub, const, init = FieldElement.__sub__, FieldDescriptor.const, \
+            RatFun.__init__
 
         def counting_sub(self, other):
             counts["sub"] += 1
@@ -679,19 +828,25 @@ class TestBuildCost:
             counts["const"] += 1
             return const(self, c)
 
+        def counting_init(self, num, den):
+            counts["ratfun"] += 1
+            init(self, num, den)
+
         monkeypatch.setattr(FieldElement, "__sub__", counting_sub)
         monkeypatch.setattr(FieldDescriptor, "const", counting_const)
+        monkeypatch.setattr(RatFun, "__init__", counting_init)
         text = "(3/2 + 5/3*y)/(2 + y)"
         f = parse_ratfun(text, R, ("y",))
-        assert counts["sub"] == 0
-        # the five integer literals, then the unit built once
-        assert counts["const"] == 6
-        counts["const"] = 0
+        # the five integer literals are stored sums, not field constants:
+        # the one constant built is the unit, on first use; the pair is
+        # normalised once, by the one RatFun built
+        assert counts == {"sub": 0, "const": 1, "ratfun": 1}
+        counts.update(const=0, ratfun=0)
         assert parse_ratfun(text, R, ("y",)) is not f
-        assert counts == {"sub": 0, "const": 5}
+        assert counts == {"sub": 0, "const": 0, "ratfun": 1}
         one = R.one()
         assert R.one() is one and R.zero() is R.zero()
-        assert counts["const"] == 6
+        assert counts["const"] == 1
         monkeypatch.undo()
         assert one == R.const(1) and R.zero() == R.const(0)
         assert format_ratfun(f) == "(5/3*y + 3/2)/(y + 2)"
