@@ -13,17 +13,20 @@ decides which once and stores the equal edge or improper cut as the
 filler's `normal`; the order operations work on that normal form, so a
 filler cut they see with `normal is None` is always a non-ball cut.
 
-Comparison is exact.  The only undecidable-looking corner, filler against
-filler, reduces to finding a field element strictly between the two
-generators; the term extraction relative to the base field that settles it
-is the filler's stored `analysis`.  Its step budget is spent once, when the
-cut is built, and the order operations never analyse again.
+Comparison is exact and rests on one fact: C1 < C2 exactly when some
+element of the field lies above C1 and below C2.  One case ladder decides
+the order from what that element needs and returns a function that builds
+it, for the witness, `find_between` and the place search.  An edge against
+a non-ball filler is read in the field itself from the filler's stored
+`analysis` (approximant, obstruction exponent and coefficient), and two
+fillers through the lower one's.  That analysis spends its step budget
+once, when the cut is built, and the order operations never analyse again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .balls import (
     Ball, NonBallWithFiller, ball_contains, ball_eq, between_ball,
@@ -191,135 +194,168 @@ def side_of(C: Cut, x: FieldElement) -> str:
 
 # -- comparison ---------------------------------------------------------------
 
+_END = {"minus_inf": -1, "plus_inf": 1}
+# _order's second answer: it builds an element between the two cuts
+_Witness = Optional[Callable[[], FieldElement]]
+
+
 def cut_cmp(C1: Cut, C2: Cut) -> int:
     """Total order on cuts of one field: -1, 0, +1."""
+    return _order(C1, C2)[0]
+
+
+def _order(C1: Cut, C2: Cut) -> tuple[int, _Witness]:
+    """cut_cmp's answer and, unless it is EQ, a function building an
+    element of the field above the lower cut and below the upper one.
+
+    C1 < C2 exactly when such an element exists, so each rung of the case
+    ladder decides the order from what that element needs, and the
+    function builds it only when asked."""
     if C1.field is not C2.field:
         raise CutComparisonError("cuts live in different fields")
     if C1.kind == "filler" and C2.kind == "filler":
         # fillers from unrelated extensions stay incomparable even when
         # their normal forms are not
-        G = _joined_field(C1, C2)
+        try:
+            G = C1.g.field.join(C2.g.field)
+        except FieldMismatchError as exc:
+            raise CutComparisonError(str(exc)) from exc
     C1, C2 = _normal(C1), _normal(C2)
     k1, k2 = C1.kind, C2.kind
-    if k1 == "minus_inf" or k2 == "minus_inf":
-        if k1 == k2:
-            return EQ
-        return LT if k1 == "minus_inf" else GT
-    if k1 == "plus_inf" or k2 == "plus_inf":
-        if k1 == k2:
-            return EQ
-        return LT if k2 == "plus_inf" else GT
+    e1, e2 = _END.get(k1, 0), _END.get(k2, 0)
+    if e1 or e2:
+        if e1 == e2:
+            return EQ, None
+        lo, hi = (C1, C2) if e1 < e2 else (C2, C1)
+        past = (hi, -1) if lo.kind == "minus_inf" else (lo, +1)
+        return (LT if lo is C1 else GT), lambda: _element_past(*past)
     if k1 == "edge" and k2 == "edge":
-        return _edge_pair_cmp(C1, C2)
+        return _edge_pair(C1, C2)
     if k1 == "edge":
-        return _edge_vs_filler(C1, C2)
+        return _edge_filler(C1, C2)
     if k2 == "edge":
-        return -_edge_vs_filler(C2, C1)
-    return _filler_pair_cmp(C1, C2, G)
+        order, witness = _edge_filler(C2, C1)
+        return -order, witness
+    return _filler_pair(C1, C2, G)
 
 
-def _edge_pair_cmp(C1: Cut, C2: Cut) -> int:
+def _edge_pair(C1: Cut, C2: Cut) -> tuple[int, _Witness]:
     B1, B2 = C1.ball, C2.ball
     d = B2.center - B1.center
     if B1.radius.boundary == B2.radius.boundary and \
             (d.is_zero() or B1.radius.contains(d.val())):
+        # one ball: its center separates its two edges
         if C1.side == C2.side:
-            return EQ
-        return LT if C1.side == LOWER else GT
-    big, small, flip = (B1, B2, False) if B2.radius.subset_of(B1.radius) \
-        else (B2, B1, True)
-    if not d.is_zero() and not big.radius.contains(d.val()):
-        return LT if B1.center.cmp(B2.center) < 0 else GT
-    # small sits strictly inside big, so big's edge decides
-    big_side = C2.side if flip else C1.side
-    out = LT if big_side == LOWER else GT
-    return -out if flip else out
+            return EQ, None
+        lo = C1 if C1.side == LOWER else C2
+        return (LT if lo is C1 else GT), lambda: lo.ball.center
+    big, small = (C1, C2) if B2.radius.subset_of(B1.radius) else (C2, C1)
+    if not d.is_zero() and not big.ball.radius.contains(d.val()):
+        # disjoint balls: the centers decide, and their midpoint separates
+        lo, hi = (C1, C2) if B1.center.cmp(B2.center) < 0 else (C2, C1)
+        return (LT if lo is C1 else GT), \
+            lambda: (lo.ball.center + hi.ball.center) / 2
+    # small sits strictly inside big, so big's edge decides; a member of
+    # big on the far side of small separates them
+    lo = big if big.side == LOWER else small
+
+    def witness() -> FieldElement:
+        gamma = element_in_interval(big.ball.radius.boundary,
+                                    small.ball.radius.boundary)
+        if gamma is None:
+            raise AssertionError("properly nested balls with no radius "
+                                 "between")
+        c = small.ball.center
+        step = c.field.monomial(gamma)
+        return c - step if lo is big else c + step
+    return (LT if lo is C1 else GT), witness
 
 
-def _hull_offset(B: Ball, g: FieldElement) -> tuple[bool, FieldElement]:
-    """g - center for the generator g of a non-ball filler of B's field,
-    and whether g sits strictly between members of the convex hull of B
-    (else it lies past some field element outside B).  Only a disguised
-    ball edge could sit in the gap between B and the rest of the field."""
-    G = g.field
-    d = g - lift(B.center, G)
-    bnd = B.radius.boundary
-    mask = B.field.embedding_mask_into(G)
-    inside = G.group.at(d.val()).cmp(embed_position_max(bnd, mask,
-                                                        G.group)) > 0
-    return inside, d
+def _edge_filler(Ce: Cut, Cf: Cut) -> tuple[int, _Witness]:
+    """A ball edge against a non-ball filler, read in the field F from the
+    filler's stored analysis.  Its generator is g = r* + c0 t^gamma0 +
+    (higher terms); with e = r* - center, v(g - center) and its leading
+    coefficient are those of e when v(e) < gamma0, (gamma0, c0 + lc(e))
+    when v(e) = gamma0 (never 0, as c0 is no coefficient of F), and
+    (gamma0, c0) when v(e) > gamma0 or e = 0."""
+    B, F, res = Ce.ball, Ce.field, Cf.analysis
+    v = restrict_element(res.gamma0, F.embedding_mask_into(Cf.g.field),
+                         F.group)
+    c = res.coeff
+    e = res.approximant - B.center
+    k = 1 if e.is_zero() else e.val().cmp(v)
+    if k < 0:
+        v, c = e.val(), e.leading_coeff()
+    elif k == 0:
+        c = c + e.leading_coeff()
+    up = c.sign() > 0
+    # g sits in the convex hull of B exactly when the radius holds v;
+    # past the hull, only a disguised ball edge could fill the gap
+    inside = B.radius.contains(v)
+    edge_first = Ce.side == LOWER if inside else up
+
+    def witness() -> FieldElement:
+        if not inside:
+            # an element of F between the ball and g
+            s = rational_between(QuadExt(0), c) if up \
+                else rational_between(c, QuadExt(0))
+        elif up == edge_first:
+            return B.center
+        else:
+            # a member of B on the far side of g
+            s = (1 if up else -1) * Fraction(abs(c.floor()) + 1)
+        return B.center + F.monomial(v, s)
+    return (LT if edge_first else GT), witness
 
 
-def _edge_vs_filler(Ce: Cut, Cf: Cut) -> int:
-    inside, d = _hull_offset(Ce.ball, Cf.g)
-    if inside:
-        return LT if Ce.side == LOWER else GT
-    return LT if d.sign() > 0 else GT
-
-
-def _joined_field(C1: Cut, C2: Cut) -> FieldDescriptor:
-    """The larger of the extension fields of two filler cuts."""
-    try:
-        return C1.g.field.join(C2.g.field)
-    except FieldMismatchError as exc:
-        raise CutComparisonError(str(exc)) from exc
-
-
-def _filler_pair_cmp(C1: Cut, C2: Cut, G: FieldDescriptor) -> int:
-    """Order of two non-ball filler cuts of one field; G is the larger of
-    their extension fields."""
-    d = lift(C2.g, G) - lift(C1.g, G)
-    if d.is_zero():
-        return EQ
-    if d.sign() > 0:
-        lo, hi, order = C1, C2, LT
-    else:
-        lo, hi, order = C2, C1, GT
-    x = _element_between_fillers(lo, hi, G)
-    return order if x is not None else EQ
-
-
-def _element_between_fillers(lo_cut: Cut, hi_cut: Cut, G: FieldDescriptor
-                             ) -> Optional[FieldElement]:
-    """An element of F strictly between the generators lo < hi of two
-    non-ball filler cuts of F, lifted to G, the larger of their extension
-    fields, or None when no such element exists.
+def _filler_pair(C1: Cut, C2: Cut, G: FieldDescriptor
+                 ) -> tuple[int, _Witness]:
+    """Two non-ball filler cuts of F, through their generators lo < hi
+    lifted to G, the larger of their extension fields.
 
     The lower cut's analysis over F holds the best approximant r* and the
     coefficient obstruction at gamma0 = max v(lo - F).  Writing
-    w = v(hi - lo), an element between the two exists exactly when w does
-    not exceed gamma0: a coefficient nudge at gamma0 when w equals it, and
-    otherwise r* itself or a coefficient slot at w, which lies in the
-    exponent image as every distance from hi to F does.
+    w = v(hi - lo), an element of F between the two exists exactly when w
+    does not exceed gamma0: a coefficient nudge at gamma0 when w equals
+    it, and otherwise r* itself or a coefficient slot at w, which lies in
+    the exponent image as every distance from hi to F does.
     """
-    F = lo_cut.field
-    lo, hi = lift(lo_cut.g, G), lift(hi_cut.g, G)
-    delta = hi - lo
-    res = lo_cut.analysis
+    g1, g2 = lift(C1.g, G), lift(C2.g, G)
+    delta = g2 - g1
+    if delta.is_zero():
+        return EQ, None
+    if delta.sign() > 0:
+        lo, glo, ghi = C1, g1, g2
+    else:
+        lo, glo, ghi, delta = C2, g2, g1, -delta
+    F = lo.field
+    res = lo.analysis
     gamma0, c0, r_star = res.gamma0, res.coeff, res.approximant
-    if lo_cut.g.field is not G:
+    if lo.g.field is not G:
         gamma0 = embed_element(
-            gamma0, lo_cut.g.field.embedding_mask_into(G), G.group)
+            gamma0, lo.g.field.embedding_mask_into(G), G.group)
     w = delta.val()
-    order = w.cmp(gamma0)
-    if order > 0:
-        return None
-    mask = F.embedding_mask_into(G)
+    at_gamma0 = w.cmp(gamma0)
+    if at_gamma0 > 0:
+        return EQ, None
 
     def between(cand: FieldElement) -> bool:
         c = lift(cand, G)
-        return c.cmp(lo) > 0 and c.cmp(hi) < 0
+        return c.cmp(glo) > 0 and c.cmp(ghi) < 0
 
-    if order == 0:
-        s = rational_between(c0, c0 + delta.leading_coeff())
-    elif between(r_star):
-        return r_star
-    else:
-        s = rational_between(QuadExt(0), delta.leading_coeff())
-    cand = r_star + F.monomial(restrict_element(w, mask, F.group), s)
-    if not between(cand):
-        raise AssertionError("slot candidate failed its side checks")
-    return cand
+    def witness() -> FieldElement:
+        if at_gamma0 == 0:
+            s = rational_between(c0, c0 + delta.leading_coeff())
+        elif between(r_star):
+            return r_star
+        else:
+            s = rational_between(QuadExt(0), delta.leading_coeff())
+        wF = restrict_element(w, F.embedding_mask_into(G), F.group)
+        cand = r_star + F.monomial(wF, s)
+        if not between(cand):
+            raise AssertionError("slot candidate failed its side checks")
+        return cand
+    return (LT if lo is C1 else GT), witness
 
 
 # -- equivalence --------------------------------------------------------------
@@ -592,84 +628,25 @@ def _element_past(C: Cut, direction: int) -> FieldElement:
 def cut_lt_witness(C1: Cut, C2: Cut) -> FieldElement:
     """An element strictly between two cuts with C1 < C2: above C1 and
     below C2."""
-    if cut_cmp(C1, C2) != LT:
+    order, witness = _order(C1, C2)
+    if order != LT:
         raise ValueError("witness requires strictly ordered cuts")
-    return _ordered_witness(C1, C2)
-
-
-def _ordered_witness(C1: Cut, C2: Cut) -> FieldElement:
-    """cut_lt_witness for two cuts already known to satisfy C1 < C2."""
-    C1, C2 = _normal(C1), _normal(C2)
-    if C1.kind == "minus_inf":
-        return _element_past(C2, -1)
-    if C2.kind == "plus_inf":
-        return _element_past(C1, +1)
-    if C1.kind == "edge" and C2.kind == "edge":
-        return _edge_pair_witness(C1, C2)
-    if C1.kind == "edge" and C2.kind == "filler":
-        return _edge_filler_witness(C1, C2, below_filler=True)
-    if C1.kind == "filler" and C2.kind == "edge":
-        return _edge_filler_witness(C2, C1, below_filler=False)
-    x = _element_between_fillers(C1, C2, _joined_field(C1, C2))
-    if x is None:
-        raise AssertionError("strictly ordered filler cuts admitted no "
-                             "witness")
-    return x
-
-
-def _edge_pair_witness(C1: Cut, C2: Cut) -> FieldElement:
-    B1, B2 = C1.ball, C2.ball
-    if ball_eq(B1, B2):
-        return B1.center
-    d = B2.center - B1.center
-    big, small = (B1, B2) if B2.radius.subset_of(B1.radius) else (B2, B1)
-    if not d.is_zero() and not big.radius.contains(d.val()):
-        return (B1.center + B2.center) / 2
-    gamma = element_in_interval(big.radius.boundary, small.radius.boundary)
-    if gamma is None:
-        raise AssertionError("properly nested balls with no radius between")
-    step = small.center.field.monomial(gamma)
-    # a member of the big ball on the far side of the small one
-    return small.center - step if big is B1 else small.center + step
-
-
-def _edge_filler_witness(Ce: Cut, Cf: Cut, below_filler: bool
-                         ) -> FieldElement:
-    """Element between a ball-edge cut and a non-ball filler cut;
-    below_filler says the edge cut is the smaller one.  The generator's
-    distance to any element of the field, the ball's center included, is
-    an exponent of the field."""
-    B = Ce.ball
-    F = Ce.field
-    inside, d = _hull_offset(B, Cf.g)
-    sigma = d.sign()
-    vd = restrict_element(d.val(), F.embedding_mask_into(d.field), F.group)
-    c0 = d.leading_coeff()
-    if inside:
-        if (sigma > 0) == below_filler:
-            return B.center
-        # a member of B on the far side of g
-        s = Fraction(abs(c0.floor()) + 1)
-        return B.center + F.monomial(vd, s if sigma > 0 else -s)
-    # beyond the hull: an element of F between the ball and g
-    s = rational_between(QuadExt(0), c0) if sigma > 0 \
-        else rational_between(c0, QuadExt(0))
-    return B.center + F.monomial(vd, s)
+    return witness()
 
 
 def find_between(C1: Cut, C2: Cut) -> FieldElement:
     """A deterministic element a with C1 <= a- and a+ <= C2: the midpoint
     of the cut anchors when that passes the side checks, else a
     constructed witness."""
-    if cut_cmp(C1, C2) != LT:
+    order, witness = _order(C1, C2)
+    if order != LT:
         raise ValueError("find_between requires C1 < C2")
-    return _ordered_between(C1, C2)
+    return _between(C1, C2, witness)
 
 
-def _ordered_between(C1: Cut, C2: Cut) -> FieldElement:
-    """find_between for two cuts already known to satisfy C1 < C2."""
-    a1 = _anchor(C1)
-    a2 = _anchor(C2)
+def _between(C1: Cut, C2: Cut, witness: _Witness) -> FieldElement:
+    """find_between for C1 < C2, given the witness builder of _order."""
+    a1, a2 = _anchor(C1), _anchor(C2)
     F = C1.field
     if a1 is None and a2 is None:
         cand = F.zero()
@@ -681,7 +658,7 @@ def _ordered_between(C1: Cut, C2: Cut) -> FieldElement:
         cand = (a1 + a2) / 2
     if side_of(C1, cand) == ABOVE and side_of(C2, cand) == BELOW:
         return cand
-    return _ordered_witness(C1, C2)
+    return witness()
 
 
 def _anchor(C: Cut) -> Optional[FieldElement]:

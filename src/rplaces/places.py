@@ -25,8 +25,8 @@ from .valgroup import LOWER, UPPER, LEX, WEIGHTED, GroupElem, ValueGroup
 from .ordfield import (DEFAULT_MAX_STEPS, INF, FieldDescriptor, FieldElement,
                        adjoin_infinitesimal, lift, obstruction)
 from .ratfun import Poly, RatFun, _as_element, _homogeneous, format_ratfun
-from .cuts import (Cut, _ordered_between, _ordered_equivalent,
-                   _ordered_witness, cut_cmp, cut_filler_analyzed)
+from .cuts import (Cut, _between, _order, _ordered_equivalent,
+                   cut_filler_analyzed)
 
 
 def _side_sign(side: int) -> int:
@@ -496,7 +496,7 @@ def find_separating_function(C1: Cut, C2: Cut, var: str = "y") -> tuple:
     """A function whose place values differ at two inequivalent cuts,
     searched over y - c and 1/(y - c) for anchors c between and around
     the cuts.  Returns (f, value at C1, value at C2)."""
-    order = cut_cmp(C1, C2)
+    order, witness = _order(C1, C2)
     lo, hi = (C1, C2) if order < 0 else (C2, C1)
     if order == 0 or _ordered_equivalent(lo, hi):
         raise ValueError("equivalent cuts define the same place")
@@ -508,8 +508,8 @@ def find_separating_function(C1: Cut, C2: Cut, var: str = "y") -> tuple:
         if all(c.cmp(prev) != 0 for prev in anchors):
             anchors.append(c)
 
-    push(_ordered_between(lo, hi))
-    push(_ordered_witness(lo, hi))
+    push(_between(lo, hi, witness))
+    push(witness())
     for C in (C1, C2):
         push(_cut_anchor(C))
     for c in list(anchors):

@@ -490,9 +490,10 @@ def _tokenize(text: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
+            # exactly the digits int() reads; "²" passes isdigit() only
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j

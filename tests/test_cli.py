@@ -437,6 +437,16 @@ class TestErrorCodes:
         assert code(sess, "eval G t^(1/0)") == "syntax"
         assert "a" not in sess.elems
 
+    def test_non_decimal_digits_are_syntax_errors(self):
+        sess = session()
+        for text, at in (("²", 0), ("2²", 1), ("t^(²)", 3), ("sqrt(²)", 5)):
+            assert run(sess, f"def-elem z in R2 = {text}")["error"] == {
+                "code": "syntax",
+                "message": f"unexpected character '²' at position {at}"}
+        assert "z" not in sess.elems
+        ok(sess, "def-elem z in R2 = \u0663 + 1")
+        assert str(sess.elems["z"]) == "4"
+
     def test_bare_t_in_a_rank_zero_field_is_a_syntax_error(self):
         sess = session()
         for text, at in (("t", 0), ("2*t + 1", 2), ("t^(1)", 5)):

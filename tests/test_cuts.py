@@ -769,12 +769,13 @@ class TestFindBetween:
     def test_decides_the_order_once(self, monkeypatch):
         R, F, rt2 = sqrt2_pair()
         calls = []
+        order = cuts_module._order
 
         def counted(C1, C2):
             calls.append((C1, C2))
-            return cut_cmp(C1, C2)
+            return order(C1, C2)
 
-        monkeypatch.setattr(cuts_module, "cut_cmp", counted)
+        monkeypatch.setattr(cuts_module, "_order", counted)
         C1 = cut_principal(R.zero(), UPPER)
         C2 = cut_filler(rt2, UPPER, R)
         a = find_between(C1, C2)
@@ -1025,3 +1026,145 @@ class TestNormalFormProperties:
         assert C.normal is None
         assert cut_cmp(C, E) != EQ
         assert not equivalent(C, E)
+
+
+# -- the order ladder over a tower --------------------------------------------
+
+def _ladder_tower():
+    """R < F2 < W2 < E: R on the trailing coordinate of a rank-2 lex field
+    F2, W2 adds sqrt(2) coefficients and E an infinitesimal just above
+    t^(0,1)."""
+    F2 = FieldDescriptor("F2", None, ValueGroup(LEX, 2))
+    R = F2.subfield("R", mask=(1,))
+    W2 = F2.extend_coeff("W2", 2)
+    E, eps = adjoin_infinitesimal(W2, W2.group.above(W2.group.elem(0, 1)))
+    return R, F2, W2, E, eps
+
+
+_TOWER = _ladder_tower()
+_CUT_FORMS = ("minus_inf", "plus_inf", "edge", "principal", "exponent",
+              "beyond", "sqrt2", "infinitesimal")
+
+
+@st.composite
+def _tower_cuts(draw):
+    """Cuts of R of every kind.  Each proper cut starts from a prefix of
+    one shared element of R, and exponents are often drawn from that
+    element's, so centres, approximants and generators agree to varying
+    depth: edges, principal cuts, fillers from F2 with an exponent
+    obstruction (one form beyond every element of R), sqrt(2) fillers
+    written in W2 or in E, half of them on one shared obstruction and some
+    with a twin, and infinitesimal fillers from E."""
+    R, F2, W2, E, eps = _TOWER
+    base = draw(st.lists(st.tuples(_small_q, _coeff), max_size=3,
+                         unique_by=lambda t: t[0]))
+    exps = [q for q, _ in base]
+
+    def exponent():
+        if exps and draw(st.booleans()):
+            return draw(st.sampled_from(exps))
+        return draw(_small_q)
+
+    def surd():
+        a = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        return a, draw(_coeff), exponent()
+
+    shared = surd()
+    cuts = []
+    for _ in range(draw(st.integers(3, 7))):
+        form = draw(st.sampled_from(_CUT_FORMS))
+        side = draw(st.sampled_from((LOWER, UPPER)))
+        r = R.zero()
+        for q, c in base[:draw(st.integers(0, len(base)))]:
+            r = r + R.monomial(R.group.elem(q), c)
+        if draw(st.booleans()):
+            r = r + R.monomial(R.group.elem(exponent()), draw(_coeff))
+        q, c = exponent(), draw(_coeff)
+        if form == "minus_inf":
+            C = cut_minus_inf(R)
+        elif form == "plus_inf":
+            C = cut_plus_inf(R)
+        elif form == "edge":
+            S = seg_above(R.group, q) if draw(st.booleans()) \
+                else seg_at_least(R.group, q)
+            C = cut_edge(Ball(R, r, S), side)
+        elif form == "principal":
+            C = cut_principal(r, side)
+        elif form in ("exponent", "beyond"):
+            first = 1 if form == "exponent" else -1
+            g = lift(r, F2) + F2.monomial(F2.group.elem(first, q), c)
+            C = cut_filler(g, side, R)
+        elif form == "sqrt2":
+            a, b, q = shared if draw(st.booleans()) else surd()
+            g = lift(r, W2) + W2.monomial(W2.group.elem(0, q),
+                                          QuadExt(a, b, 2))
+            C = cut_filler(lift(g, E) if draw(st.booleans()) else g, side, R)
+            if draw(st.booleans()):
+                # a twin differing only past the obstruction: no element
+                # of R lies between the two generators
+                twin = g + W2.monomial(W2.group.elem(0, q + 1), c)
+                cuts.append(cut_filler(twin, side, R))
+        else:
+            C = cut_filler(lift(r, E) + c * eps, side, R)
+        cuts.append(C)
+    return cuts
+
+
+class TestOrderLadder:
+    @settings(max_examples=60, deadline=None)
+    @given(_tower_cuts())
+    def test_order_and_witnesses_over_the_tower(self, cuts):
+        order = {(i, j): cut_cmp(A, B) for i, A in enumerate(cuts)
+                 for j, B in enumerate(cuts)}
+        n = len(cuts)
+        for i in range(n):
+            for j in range(n):
+                assert order[i, j] == -order[j, i]
+                assert equivalent(cuts[i], cuts[j]) == \
+                    equivalent(cuts[j], cuts[i])
+                for k in range(n):
+                    if order[i, j] <= 0 and order[j, k] <= 0:
+                        assert order[i, k] <= 0
+                if order[i, j] != LT:
+                    continue
+                A, B = cuts[i], cuts[j]
+                for a in (cut_lt_witness(A, B), find_between(A, B)):
+                    assert side_of(A, a) == ABOVE
+                    assert side_of(B, a) == BELOW
+
+    # g = 1 + sqrt(2) t, so r* = 1, gamma0 = 1 and c0 = sqrt(2); each case
+    # names the ball centre and v(g - centre) with the sign of its leading
+    # coefficient
+    @pytest.mark.parametrize("center_terms, v, sign", [
+        ({0: 1}, 1, 1),                       # e = 0
+        ({0: 1, Q(1, 2): 3}, Q(1, 2), -1),    # v(e) below gamma0
+        ({0: 1, 1: 2}, 1, -1),                # v(e) at gamma0: sqrt(2) - 2
+        ({0: 1, 2: 5}, 1, 1),                 # v(e) above gamma0
+    ], ids=["e_zero", "below_gamma0", "at_gamma0", "above_gamma0"])
+    @pytest.mark.parametrize("holds_v", [True, False],
+                             ids=["radius_holds_v", "radius_misses_v"])
+    def test_edge_against_filler_branches(self, center_terms, v, sign,
+                                          holds_v):
+        R, F, rt2 = sqrt2_pair()
+        g = 1 + rt2 * F.monomial(F.group.elem(1))
+        center = R.zero()
+        for q, c in center_terms.items():
+            center = center + R.monomial(R.group.elem(q), c)
+        d = g - lift(center, F)
+        assert d.val() == F.group.elem(v) and d.sign() == sign
+        radius = seg_above(R.group, v - 1) if holds_v \
+            else seg_above(R.group, v)
+        assert radius.contains(R.group.elem(v)) == holds_v
+        B = Ball(R, center, radius)
+        Cf = cut_filler(g, UPPER, R)
+        lo, hi = cut_edge(B, LOWER), cut_edge(B, UPPER)
+        if holds_v:
+            expect = (LT, GT)
+        else:
+            expect = (LT, LT) if sign > 0 else (GT, GT)
+        assert (cut_cmp(lo, Cf), cut_cmp(hi, Cf)) == expect
+        for E in (lo, hi):
+            assert cut_cmp(Cf, E) == -cut_cmp(E, Cf)
+            A, C = (E, Cf) if cut_cmp(E, Cf) == LT else (Cf, E)
+            for a in (cut_lt_witness(A, C), find_between(A, C)):
+                assert side_of(A, a) == ABOVE and side_of(C, a) == BELOW

@@ -669,13 +669,14 @@ class TestSeparatingSearch:
         C1 = cut_filler(rt2, UPPER, R)
         C2 = cut_filler(rt2 + 3, LOWER, R)
         calls = []
+        order = cuts_module._order
 
         def counted(A, B):
             calls.append((A, B))
-            return cut_cmp(A, B)
+            return order(A, B)
 
-        monkeypatch.setattr(cuts_module, "cut_cmp", counted)
-        monkeypatch.setattr(places_module, "cut_cmp", counted)
+        monkeypatch.setattr(cuts_module, "_order", counted)
+        monkeypatch.setattr(places_module, "_order", counted)
         f, v1, v2 = find_separating_function(C1, C2)
         assert v1 != v2
         assert len(calls) == 1

@@ -289,6 +289,23 @@ class TestText:
             err = e
         assert err is not None and err.position == 4
 
+    def test_non_decimal_digits_are_unexpected_characters(self):
+        # "²" is a digit to str.isdigit() but no literal to int()
+        R = rational_field()
+        F = R.extend_coeff("F", 2)
+        for text, at in (("²", 0), ("2²", 1), ("t^(²)", 3), ("sqrt(²)", 5)):
+            for parse in (parse_ratfun, parse_per_token):
+                with pytest.raises(RatFunSyntaxError) as info:
+                    parse(text, F, ("y",))
+                assert info.value.position == at
+                assert "unexpected character" in str(info.value)
+
+    def test_other_decimal_digits_keep_their_value(self):
+        R = rational_field()
+        for parse in (parse_ratfun, parse_per_token):
+            assert parse("\u0663 + 1", R, ("y",)) == \
+                RatFun.const(R, ("y",), R.const(4))
+
     def test_zero_exponent_denominator(self):
         R = rational_field()
         for text, at in (("t^(1/0)", 5), ("y + t^(-2/0)", 10)):
