@@ -179,9 +179,7 @@ def _filler_distance_values(res: Obstructed, R: FieldDescriptor,
     coordinates.
     """
     group = ambient.group
-    if res.obstruction == "coefficient":
-        bound_R = restrict_position(group.above(res.gamma0), mask, R.group)
-    else:
-        bound_R = restrict_position(group.below(res.gamma0), mask, R.group)
-    return InitialSegment(bound_R)
+    nudged = group.above if res.obstruction == "coefficient" else group.below
+    return InitialSegment(restrict_position(nudged(res.gamma0), mask,
+                                            R.group))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Union
 
 RatLike = Union[int, Fraction, "QuadExt"]
@@ -182,14 +183,7 @@ class QuadExt(Ordered):
     def __pow__(self, n: int) -> "QuadExt":
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExt(1)
-        base = self
-        while n > 0:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, QuadExt(1))
 
     # -- order ----------------------------------------------------------------
 
@@ -256,6 +250,19 @@ class QuadExt(Ordered):
 
     def __str__(self) -> str:
         return format_coeff(self)
+
+
+def _power(base, n: int, one, times=mul):
+    """base^n for n >= 0 by square-and-multiply, with products `times`;
+    no square is built after the last exponent bit."""
+    out = one
+    while n:
+        if n & 1:
+            out = times(out, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return out
 
 
 def format_coeff(x: QuadExt) -> str:

@@ -38,8 +38,8 @@ from .ordfield import (
 )
 from .valgroup import (
     LOWER, UPPER, FinalSegment, GroupElem, element_in_interval,
-    embed_element, embed_position_max, embed_position_min, restrict_element,
-    restrict_position, side_name,
+    embed_element, embed_position, restrict_element, restrict_position,
+    side_name,
 )
 
 BELOW = "below"
@@ -51,14 +51,6 @@ LT, EQ, GT = -1, 0, 1
 class CutComparisonError(Exception):
     """The cuts cannot be compared: they live in different fields, or they
     are fillers from extension fields no declared embedding relates."""
-
-
-def _rational_under(c: QuadExt) -> Fraction:
-    return rational_between(c - 1, c)
-
-
-def _rational_over(c: QuadExt) -> Fraction:
-    return rational_between(c, c + 1)
 
 
 class Cut:
@@ -495,8 +487,8 @@ def _non_ball_certificate(C: Cut, r_star: FieldElement, gamma0: GroupElem,
     """
     R = C.field
     group = R.group
-    lo_q = _rational_under(c0)
-    hi_q = _rational_over(c0)
+    lo_q = rational_between(c0 - 1, c0)
+    hi_q = rational_between(c0, c0 + 1)
     mid_q = rational_between(QuadExt(lo_q), c0)
 
     def at_coeff(q) -> FieldElement:
@@ -591,16 +583,15 @@ def fiber(C: Cut, F: FieldDescriptor,
         center = R.zero()
         bnd = R.group.minus_inf()
         side = UPPER if C.kind == "plus_inf" else LOWER
-    tight = FinalSegment(embed_position_max(bnd, mask, F.group))
-    wide = FinalSegment(embed_position_min(bnd, mask, F.group))
+    tight = embed_position(bnd, mask, F.group, UPPER)
+    wide = embed_position(bnd, mask, F.group, LOWER)
     aF = lift(center, F)
-    small_edge = cut_edge(Ball(F, aF, tight), side)
-    big_edge = cut_edge(Ball(F, aF, wide), side)
-    if side == UPPER:
-        lower, upper = small_edge, big_edge
-    else:
-        lower, upper = big_edge, small_edge
-    return FiberDescription(lower, upper, tight.boundary == wide.boundary)
+    # the wider ball's edge lies farther towards `side`, so read as
+    # (lower, upper) the pair runs forwards for UPPER, backwards for LOWER
+    small_edge, big_edge = (cut_edge(Ball(F, aF, FinalSegment(b)), side)
+                            for b in (tight, wide))
+    lower, upper = (small_edge, big_edge)[::side]
+    return FiberDescription(lower, upper, tight == wide)
 
 
 # -- elements around cuts --------------------------------------------------------

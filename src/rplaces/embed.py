@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .valgroup import (LOWER, UPPER, FinalSegment, GroupElem, LEX,
-                       convexity_witness, embed_element, embed_position_max,
+                       convexity_witness, embed_element, embed_position,
                        is_cofinal, is_convex, restrict_element,
                        restrict_position, segment_above)
 from .ordfield import (DEFAULT_MAX_STEPS, FieldDescriptor, FieldElement,
@@ -222,8 +222,8 @@ def nonconvex_witness(ctx: EmbeddingContext) -> NonConvexWitness:
 
     S = segment_above(S0.complement(), into=F.group, mask=mask)
     _witness_check(S.contains(gamma), "gamma in S")
-    hull = Ball(F, F.zero(),
-                FinalSegment(embed_position_max(S0.boundary, mask, F.group)))
+    hull = Ball(F, F.zero(), FinalSegment(
+        embed_position(S0.boundary, mask, F.group, UPPER)))
     hull_edge = cut_edge(hull, UPPER)
     segment_edge = cut_edge(Ball(F, F.zero(), S), UPPER)
     _witness_check(cut_cmp(hull_edge, segment_edge) < 0,

@@ -31,7 +31,8 @@ from functools import cmp_to_key
 from operator import add, mul
 from typing import Optional, Sequence, Union
 
-from .coeff import Ordered, QuadExt, _check_radicand, _surd_sign, format_coeff
+from .coeff import (Ordered, QuadExt, _check_radicand, _power, _surd_sign,
+                    format_coeff)
 from .valgroup import (
     LEX, Q0, GroupCut, GroupElem, ValueGroup, check_mask, extend_at_position,
     restrict_element,
@@ -724,14 +725,7 @@ class FieldElement(Ordered):
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
             return (self.field.one() / self) ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, self.field.one())
 
     def inverse(self) -> "FieldElement":
         return self.field.one() / self

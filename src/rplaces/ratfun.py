@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import add
 from typing import Optional, Sequence, Union
 
-from .coeff import QuadExt
+from .coeff import QuadExt, _power
 from .ordfield import (FieldDescriptor, FieldElement, FieldMismatchError,
                        HahnSum, lift)
 
@@ -151,7 +151,7 @@ class Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         return _power(self, n, Poly.const(self.field, self.variables,
-                                          self.field.one()), mul)
+                                          self.field.one()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -193,18 +193,6 @@ def _product_terms(a: dict, b: dict) -> dict:
             c = c1 * c2
             out[k] = out[k] + c if k in out else c
     return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _power(base, n: int, one, times):
-    """base^n for n >= 0 by square-and-multiply, with products `times`."""
-    out = one
-    while n:
-        if n & 1:
-            out = times(out, base)
-        n >>= 1
-        if n:
-            base = times(base, base)
-    return out
 
 
 def _is_one(p: Poly) -> bool:
@@ -340,7 +328,7 @@ class RatFun:
                 raise ZeroDivisionError("negative power of zero")
             return RatFun(self.den, self.num) ** (-n)
         return _power(self, n, RatFun.const(self.field, self.variables,
-                                            self.field.one()), mul)
+                                            self.field.one()))
 
     def __eq__(self, other) -> bool:
         """Equality of functions: fractions are not reduced, so compare

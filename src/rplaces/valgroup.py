@@ -316,21 +316,17 @@ class GroupCut(Ordered):
             return {"kind": "minus_inf"}
         if self.kind == "pinf":
             return {"kind": "plus_inf"}
-        if self.group.kind == WEIGHTED:
-            val, s = self.key[0]
-            base = {"value": str(val)}
-            if s == 0:
-                return {"kind": "element", **base}
-            return {"kind": "above" if s > 0 else "below", **base}
-        qs = [str(q) for q, _ in self.key]
         s = self.key[-1][1]
-        if len(self.key) == self.group.rank:
+        if self.group.kind == WEIGHTED:
+            base = {"value": str(self.key[0][0])}
+        else:
+            qs = [str(q) for q, _ in self.key]
+            if len(self.key) != self.group.rank:
+                return {"kind": "coset_edge", "side": side_name(s),
+                        "fixed_coords": qs}
             base = {"coords": qs}
-            if s == 0:
-                return {"kind": "element", **base}
-            return {"kind": "above" if s > 0 else "below", **base}
-        return {"kind": "coset_edge", "side": side_name(s),
-                "fixed_coords": qs}
+        kind = "element" if s == 0 else "above" if s > 0 else "below"
+        return {"kind": kind, **base}
 
     def __repr__(self) -> str:
         d = self.describe()
@@ -523,65 +519,34 @@ def _lift_coords(prefix: Sequence[Fraction], mask: tuple,
     return out
 
 
-def embed_position_min(pos: GroupCut, mask: Sequence[int],
-                       big: ValueGroup) -> GroupCut:
-    """The least big-group position restricting back to pos.
+def embed_position(pos: GroupCut, mask: Sequence[int], big: ValueGroup,
+                   side: int) -> GroupCut:
+    """The least (side LOWER) or greatest (side UPPER) big-group position
+    restricting back to pos.
 
-    Equivalently the boundary of the largest final segment of the big group
-    lying above every subgroup element below pos.
+    The least one is also the boundary of the largest final segment of the
+    big group lying above every subgroup element below pos.  A position
+    nudged towards `side` keeps its own coset edge; one nudged away from it
+    widens to the edge of the coset of the next masked coordinate (from an
+    infinity: of the first one).
     """
     sub = pos.group
     _require_lex(big, sub)
     mask = check_mask(mask, big)
-    if pos.kind == "minf":
-        return big.minus_inf()
-    if pos.kind == "pinf":
-        first = mask[0] if mask else big.rank
-        if first == 0:
-            return big.plus_inf()
-        g = big.zero()
-        return big.coset_edge(g, first, UPPER)
-    if pos.nudge() == 0:
+    nudge = pos.nudge()
+    if pos.kind != "key":
+        level, qs = -1, []
+    elif nudge == 0:
         raise ValueError("element positions have no unique transport")
-    level = len(pos.key) - 1  # subgroup level of the nudge
-    qs = [q for q, _ in pos.key]
-    side = pos.nudge()
-    if side < 0:
-        coords = _lift_coords(qs, mask, mask[level] + 1)
-        g = big.elem(coords + [0] * (big.rank - len(coords)))
-        return big.coset_edge(g, mask[level] + 1, LOWER)
-    nxt = mask[level + 1] if level + 1 < len(mask) else big.rank
-    coords = _lift_coords(qs, mask, nxt)
+    else:
+        level, qs = len(pos.key) - 1, [q for q, _ in pos.key]
+    if nudge == side:
+        fixed = mask[level] + 1 if level >= 0 else 0
+    else:
+        fixed = mask[level + 1] if level + 1 < len(mask) else big.rank
+    coords = _lift_coords(qs, mask, fixed)
     g = big.elem(coords + [0] * (big.rank - len(coords)))
-    return big.coset_edge(g, nxt, UPPER)
-
-
-def embed_position_max(pos: GroupCut, mask: Sequence[int],
-                       big: ValueGroup) -> GroupCut:
-    """The greatest big-group position restricting back to pos."""
-    sub = pos.group
-    _require_lex(big, sub)
-    mask = check_mask(mask, big)
-    if pos.kind == "pinf":
-        return big.plus_inf()
-    if pos.kind == "minf":
-        first = mask[0] if mask else big.rank
-        if first == 0:
-            return big.minus_inf()
-        return big.coset_edge(big.zero(), first, LOWER)
-    if pos.nudge() == 0:
-        raise ValueError("element positions have no unique transport")
-    level = len(pos.key) - 1
-    qs = [q for q, _ in pos.key]
-    side = pos.nudge()
-    if side > 0:
-        coords = _lift_coords(qs, mask, mask[level] + 1)
-        g = big.elem(coords + [0] * (big.rank - len(coords)))
-        return big.coset_edge(g, mask[level] + 1, UPPER)
-    nxt = mask[level + 1] if level + 1 < len(mask) else big.rank
-    coords = _lift_coords(qs, mask, nxt)
-    g = big.elem(coords + [0] * (big.rank - len(coords)))
-    return big.coset_edge(g, nxt, LOWER)
+    return big.coset_edge(g, fixed, nudge)
 
 
 def segment_above(seg: InitialSegment, into: Optional[ValueGroup] = None,
@@ -596,7 +561,7 @@ def segment_above(seg: InitialSegment, into: Optional[ValueGroup] = None,
         return FinalSegment(seg.boundary)
     if mask is None:
         raise ValueError("cross-group form needs the coordinate mask")
-    return FinalSegment(embed_position_min(seg.boundary, mask, into))
+    return FinalSegment(embed_position(seg.boundary, mask, into, LOWER))
 
 
 def embed_element(g: GroupElem, mask: Sequence[int],
@@ -635,9 +600,9 @@ def element_in_interval(lo: GroupCut, hi: GroupCut) -> Optional[GroupElem]:
     if lo.kind == "minf" and hi.kind == "pinf":
         return group.zero()
     if lo.kind == "minf":
-        return _just_under(hi)
+        return _just_past(hi, LOWER)
     if hi.kind == "pinf":
-        return _just_over(lo)
+        return _just_past(lo, UPPER)
     k1, k2 = lo.key, hi.key
     for j in range(min(len(k1), len(k2))):
         (q1, s1), (q2, s2) = k1[j], k2[j]
@@ -651,18 +616,10 @@ def element_in_interval(lo: GroupCut, hi: GroupCut) -> Optional[GroupElem]:
             if s1 == -1 and s2 == 1:
                 # lower vs upper edge of the same coset: its base element
                 return group.elem(qs + [0] * (n - j - 1))
-            if s1 == -1:
-                # lo is the lower coset edge, hi continues inside the coset
-                tail = GroupCut(group, hi.kind, hi.key)
-                e = _just_under(tail)
-                if e is None:
-                    return None
-                return e if _strictly_inside(e, lo, hi) else None
-            # s1 == 0, s2 == 1: lo continues inside the coset hi tops
-            e = _just_over(lo)
-            if e is None:
-                return None
-            return e if _strictly_inside(e, lo, hi) else None
+            # lo is the lower coset edge and hi continues inside the coset
+            # (s1 == -1), or lo continues inside the coset hi tops
+            e = _just_past(hi, LOWER) if s1 == -1 else _just_past(lo, UPPER)
+            return e if e is not None and _strictly_inside(e, lo, hi) else None
     raise AssertionError("identical prefixes of different lengths")
 
 
@@ -670,38 +627,20 @@ def _strictly_inside(e: GroupElem, lo: GroupCut, hi: GroupCut) -> bool:
     return lo.side_of(e) > 0 and hi.side_of(e) < 0
 
 
-def _just_under(pos: GroupCut) -> Optional[GroupElem]:
-    """An element below pos and above any strictly lower coset-mate, when
-    one exists immediately under the key."""
+def _just_past(pos: GroupCut, direction: int) -> Optional[GroupElem]:
+    """An element on the given side of pos (LOWER: below, UPPER: above) and
+    short of any strictly farther coset-mate, when one exists immediately
+    past the key."""
     group = pos.group
     n = group.rank
     qs = [q for q, _ in pos.key]
     s = pos.key[-1][1]
-    if s > 0:
+    if s == -direction:
         return group.elem(qs + [0] * (n - len(qs)))
-    if s < 0:
-        qs = qs[:-1] + [qs[-1] - 1]
-        return group.elem(qs + [0] * (n - len(qs)))
-    # element position: the nearest element below is one step down in the
-    # least significant coordinate; none when the key is the element itself
-    if len(qs) == n:
-        return group.elem(qs[:-1] + [qs[-1] - 1]) if n else None
-    return None
-
-
-def _just_over(pos: GroupCut) -> Optional[GroupElem]:
-    group = pos.group
-    n = group.rank
-    qs = [q for q, _ in pos.key]
-    s = pos.key[-1][1]
-    if s < 0:
-        return group.elem(qs + [0] * (n - len(qs)))
-    if s > 0:
-        qs = qs[:-1] + [qs[-1] + 1]
-        return group.elem(qs + [0] * (n - len(qs)))
-    if len(qs) == n:
-        return group.elem(qs[:-1] + [qs[-1] + 1]) if n else None
-    return None
+    # an element position (full length), or the coset edge on that side,
+    # steps its last coordinate
+    qs[-1] += direction
+    return group.elem(qs + [0] * (n - len(qs)))
 
 
 def _weighted_between(lo: GroupCut, hi: GroupCut) -> Optional[GroupElem]:

@@ -81,6 +81,23 @@ class TestArithmetic:
         assert x ** -1 == quad(-1, 1)
         assert x ** 0 == QuadExt(1)
 
+    def test_pow_builds_no_unused_square(self, monkeypatch):
+        # square-and-multiply: one product per exponent bit set and one
+        # square per bit after the first, none after the last bit
+        x = quad(1, 1)
+        calls = []
+        mul = QuadExt.__mul__
+        monkeypatch.setattr(QuadExt, "__mul__", lambda self, other: (
+            calls.append(1), mul(self, other))[1])
+        for n in range(1, 21):
+            calls.clear()
+            got = x ** n
+            assert len(calls) == bin(n).count("1") + n.bit_length() - 1, n
+            want = x
+            for _ in range(n - 1):
+                want = mul(want, x)
+            assert got == want
+
 
 class TestFloor:
     def test_sqrt2(self):

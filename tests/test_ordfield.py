@@ -114,6 +114,24 @@ class TestArithmetic:
         assert (x ** 3 * x ** -3).cmp(1) == 0
         assert (x.inverse() * x).cmp(1) == 0
 
+    def test_pow_builds_no_unused_square(self, monkeypatch):
+        # one product per exponent bit set and one square per bit after
+        # the first, none after the last bit
+        F = rank1_field()
+        x = (1 + F.monomial(F.group.elem(1))) / 3
+        calls = []
+        mul = FieldElement.__mul__
+        monkeypatch.setattr(FieldElement, "__mul__", lambda self, other: (
+            calls.append(1), mul(self, other))[1])
+        for n in range(1, 21):
+            calls.clear()
+            got = x ** n
+            assert len(calls) == bin(n).count("1") + n.bit_length() - 1, n
+            want = x
+            for _ in range(n - 1):
+                want = mul(want, x)
+            assert got == want
+
     def test_division_by_zero(self):
         F = rank1_field()
         with pytest.raises(ZeroDivisionError):

@@ -7,8 +7,8 @@ import pytest
 from rplaces.coeff import QuadExt
 from rplaces.valgroup import (
     LOWER, UPPER, FinalSegment, GroupCut, InitialSegment, ValueGroup,
-    element_in_interval, embed_element, embed_position_max,
-    embed_position_min, extend_at_position, is_cofinal, is_convex,
+    element_in_interval, embed_element, embed_position, extend_at_position,
+    is_cofinal, is_convex,
     convexity_witness, restrict_element, restrict_position, segment_above,
 )
 
@@ -279,8 +279,8 @@ class TestWalks:
                 for p in pos_pool(sub, coords, rng, 25):
                     if p.kind == "key" and p.nudge() == 0:
                         continue
-                    lo = embed_position_min(p, mask, big)
-                    hi = embed_position_max(p, mask, big)
+                    lo = embed_position(p, mask, big, LOWER)
+                    hi = embed_position(p, mask, big, UPPER)
                     assert restrict_position(lo, mask, sub) == p
                     assert restrict_position(hi, mask, sub) == p
                     assert lo <= hi
@@ -291,11 +291,32 @@ class TestWalks:
                         # infinities collapse exactly for cofinal subgroups
                         assert lo == hi
 
+    def test_transport_is_extremal(self):
+        # every big position restricting to p lies between the least and
+        # the greatest transport of p
+        rng = random.Random(23)
+        coords = [Q(k, d) for k in range(-2, 3) for d in (1, 2)]
+        checked = 0
+        for big in (LEX1, LEX2, LEX3):
+            big_pool = pos_pool(big, coords, rng, 120)
+            for mask in self.masks(big):
+                sub = ValueGroup("lex", len(mask))
+                for p in pos_pool(sub, coords, rng, 25):
+                    if p.kind == "key" and p.nudge() == 0:
+                        continue
+                    lo = embed_position(p, mask, big, LOWER)
+                    hi = embed_position(p, mask, big, UPPER)
+                    for q in big_pool:
+                        if restrict_position(q, mask, sub) == p:
+                            assert lo <= q <= hi, (mask, p, q)
+                            checked += 1
+        assert checked > 500
+
     def test_gap_strict_when_not_convex(self):
         sub = LEX1
         p = sub.above(sub.elem(0))
-        lo = embed_position_min(p, (0,), LEX2)
-        hi = embed_position_max(p, (0,), LEX2)
+        lo = embed_position(p, (0,), LEX2, LOWER)
+        hi = embed_position(p, (0,), LEX2, UPPER)
         assert lo < hi
         assert lo == LEX2.above(LEX2.elem(0, 0))
         assert hi == LEX2.coset_edge(LEX2.zero(), 1, UPPER)
