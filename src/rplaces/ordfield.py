@@ -430,16 +430,22 @@ class HahnSum:
 
     def _lead_key(self) -> tuple:
         """The stored key of the minimum exponent."""
-        surd = self.group._surd
-        if surd is None:
+        if self.group._surd is None:
             return min(self._t)
-        wa, wb, d = surd
-        best = None
-        for k in self._t:
-            a, b = sum(map(mul, k, wa)), sum(map(mul, k, wb))
-            if best is None or _surd_sign(a - ba, b - bb, d) < 0:
-                best, ba, bb = k, a, b
-        return best
+        return _least_key(self.group, self._t)
+
+    def _lead(self, scale: int, group: ValueGroup,
+              mask: Optional[tuple] = None) -> tuple:
+        """(key, (a, b), q): the leading term (a + b*sqrt(d))/q *
+        t^(key/scale) for a multiple of `_n` (b = 0 without a radicand),
+        its key moved into `group` by `mask` as in `_embedded`."""
+        k = self._lead_key()
+        a = self._t[k]
+        if scale != self._n:
+            k = tuple(x * (scale // self._n) for x in k)
+        if mask is not None:
+            k = _embed_key(k, group.rank, mask)
+        return k, (a, 0) if self._d is None else a, self._q
 
     def _sorted_keys(self) -> list:
         """The stored keys by increasing exponent."""
@@ -494,13 +500,9 @@ class HahnSum:
     def _embedded(self, group: ValueGroup, mask: tuple) -> "HahnSum":
         """The sum in a bigger group, exponent coordinate i moved to
         coordinate mask[i] (mask increasing) and zeros elsewhere."""
-        out = {}
-        for k, v in self._t.items():
-            key = [0] * group.rank
-            for x, level in zip(k, mask):
-                key[level] = x
-            out[tuple(key)] = v
-        return _sum(group, self._n, self._q, self._d, out)
+        return _sum(group, self._n, self._q, self._d,
+                    {_embed_key(k, group.rank, mask): v
+                     for k, v in self._t.items()})
 
     def leading(self) -> tuple[GroupElem, QuadExt]:
         """(minimum exponent, its coefficient); the dominant monomial."""
@@ -604,6 +606,37 @@ def _reduced(group: ValueGroup, n: int, q: int, d: Optional[int],
         if g != 1:
             t = {k: (a // g, b // g) for k, (a, b) in t.items()}
     return _sum(group, n, q // g, d, t)
+
+
+def _least_key(group: ValueGroup, keys) -> tuple:
+    """The key of the least exponent among int keys at one scale, for a
+    weighted group by the exact sign of the weight sums' difference."""
+    surd = group._surd
+    if surd is None:
+        return min(keys)
+    wa, wb, d = surd
+    best = None
+    for k in keys:
+        a, b = sum(map(mul, k, wa)), sum(map(mul, k, wb))
+        if best is None or _surd_sign(a - ba, b - bb, d) < 0:
+            best, ba, bb = k, a, b
+    return best
+
+
+def _mono_mul(x: tuple, y: tuple, d: int) -> tuple:
+    """x * y for `_lead` monomials at one scale (d = 0 over Q)."""
+    (k1, (a1, b1), q1), (k2, (a2, b2), q2) = x, y
+    return tuple(map(add, k1, k2)), (a1 * a2 + b1 * b2 * d,
+                                     a1 * b2 + b1 * a2), q1 * q2
+
+
+def _embed_key(k: tuple, rank: int, mask: tuple) -> tuple:
+    """Key k with coordinate i moved to coordinate mask[i] of a key of the
+    rank, zeros elsewhere."""
+    key = [0] * rank
+    for x, level in zip(k, mask):
+        key[level] = x
+    return tuple(key)
 
 
 def _unit(group: ValueGroup) -> HahnSum:

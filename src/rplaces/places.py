@@ -24,7 +24,7 @@ from .coeff import QuadExt
 from .valgroup import LOWER, UPPER, LEX, WEIGHTED, GroupElem, ValueGroup
 from .ordfield import (DEFAULT_MAX_STEPS, INF, FieldDescriptor, FieldElement,
                        adjoin_infinitesimal, lift, obstruction)
-from .ratfun import Poly, RatFun, _as_element, _homogeneous, format_ratfun
+from .ratfun import Poly, RatFun, _as_element, _leading_sums, format_ratfun
 from .cuts import (Cut, _between, _order, _ordered_equivalent,
                    cut_filler_analyzed)
 
@@ -248,10 +248,10 @@ def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
     """Exact value of the place at f; never approximates.
 
     At a realized place f(values) = N/M for the two plain sums that
-    substitution over one common denominator gives (`ratfun._homogeneous`),
-    and the residue is read from their leading terms alone: v(N/M) is
-    v(N) - v(M), and the quotient's leading coefficient is N's over M's.
-    No field element is built and nothing is divided."""
+    substitution over one common denominator gives, and the residue is read
+    from their leading terms alone: v(N/M) is v(N) - v(M), and the leading
+    coefficient is N's over M's.  `ratfun._leading_sums` reads those terms
+    from leading monomials and builds N and M only when they cancel."""
     if place.kind == "gauss":
         return _gauss_value(place.base, place.field, place.variables[0], f)
     if place.kind == "composed":
@@ -262,7 +262,7 @@ def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
     missing = [v for v in f.variables if v not in place.realization]
     if missing:
         raise ValueError(f"place does not assign {missing[0]!r}")
-    top, bottom = _homogeneous(
+    top, bottom = _leading_sums(
         f, [place.realization[v] for v in f.variables], place.field)
     if bottom.is_zero():
         if top.is_zero():

@@ -11,6 +11,8 @@ stored as 0/1.  A parse carries one unnormalised pair of plain-sum term
 dicts and normalises it once (`_Parser`).  Fractions are never gcd-reduced.
 Substitution makes num and den two plain sums over one common denominator
 (`_homogeneous`); their quotient is the value, and a zero den sum is a pole.
+A place needs only their leading terms, read from leading monomials
+(`_leading_sums`).
 
 Invariant: a Poly's terms map int exponent tuples, one entry per variable,
 to nonzero elements of its field.  The public constructor checks and
@@ -21,14 +23,15 @@ share terms (and whole operands) with their inputs.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import reduce
-from operator import add
+from functools import partial, reduce
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from .coeff import QuadExt, _power
 from .ordfield import (FieldDescriptor, FieldElement, FieldMismatchError,
-                       HahnSum, lift)
+                       HahnSum, _least_key, _mono_mul, _reduced, lift)
 
 
 class PoleMarker:
@@ -369,29 +372,37 @@ class RatFun:
         return f"<ratfun {format_ratfun(self)}>"
 
 
-def _homogeneous(f: RatFun, values: list,
-                 target: FieldDescriptor) -> tuple[HahnSum, HahnSum]:
+def _prepared(f: RatFun, values: list, target: FieldDescriptor) -> tuple:
+    """(mask embedding f's group in target's, None when f is over target;
+    the values lifted into target), or FieldMismatchError."""
+    mask = None if f.field is target else f.field.embedding_mask_into(target)
+    if mask is None and f.field is not target:
+        raise FieldMismatchError(
+            f"{f.field.name} does not embed in {target.name}")
+    return mask, [lift(v, target) for v in values]
+
+
+def _tabled(table: list, e: int, times=mul):
+    """table[0] ** e for e >= 1, where table[i] holds table[0] ** (i + 1);
+    missing powers are appended by `times`."""
+    while len(table) < e:
+        table.append(times(table[-1], table[0]))
+    return table[e - 1]
+
+
+def _homogeneous(f: RatFun, values: list, target: FieldDescriptor,
+                 prepared: Optional[tuple] = None) -> tuple[HahnSum, HahnSum]:
     """(N, M), sums in `target`'s group with f(values) = N/M: at n_i/d_i,
     p in (num, den) gives sum c_k * prod n_i^k_i * d_i^(D_i - k_i), that is
     p(values) * prod d_i^D_i for D_i = max(deg_i num, deg_i den) (Knuth,
     TAOCP vol. 2, 4.6.4).  Coefficients have denominator 1 and enter as
-    numerators; powers are tabled on demand and a d_i of 1 is skipped."""
-    mask = None
-    if f.field is not target:
-        mask = f.field.embedding_mask_into(target)
-        if mask is None:
-            raise FieldMismatchError(
-                f"{f.field.name} does not embed in {target.name}")
+    numerators; powers are tabled on demand and a d_i of 1 is skipped.  Used
+    by `RatFun.eval_at`, and by `_leading_sums` when its summands cancel."""
+    mask, values = prepared or _prepared(f, values, target)
     group = target.group
     degrees = [max(e) for e in zip(*f.num.terms, *f.den.terms)]
-    values = [lift(v, target) for v in values]
     tables = [([v.num], [v.den] if len(v.den._t) != 1 else None)
               for v in values]
-
-    def power(table: list, e: int) -> HahnSum:
-        while len(table) < e:
-            table.append(table[-1] * table[0])
-        return table[e - 1]
 
     def total(p: Poly) -> HahnSum:
         out = HahnSum.zero(group)
@@ -399,12 +410,52 @@ def _homogeneous(f: RatFun, values: list,
             part = c.num if mask is None else c.num._embedded(group, mask)
             for (ns, ds), e, top in zip(tables, key, degrees):
                 if e:
-                    part = part * power(ns, e)
+                    part = part * _tabled(ns, e)
                 if ds is not None and top > e:
-                    part = part * power(ds, top - e)
+                    part = part * _tabled(ds, top - e)
             out = out + part
         return out
     return total(f.num), total(f.den)
+
+
+def _leading_sums(f: RatFun, values: list,
+                  target: FieldDescriptor) -> tuple[HahnSum, HahnSum]:
+    """Sums with the leading terms of the `_homogeneous` sums N and M, read
+    in integers: c_k * prod n_i^k_i * d_i^(D_i - k_i) leads with lead(c_k) *
+    prod lead(n_i)^k_i (a canonical d_i leads with 1), or is 0 if a k_i > 0
+    falls on a value 0.  If the least of these cancel, N and M are built."""
+    pre = mask, values = _prepared(f, values, target)
+    group, d = target.group, target.coeff_d
+    times = partial(_mono_mul, d=d or 0)
+    scale = math.lcm(*{c.num._n for p in (f.num, f.den)
+                       for c in p.terms.values()}, *{v.num._n for v in values})
+    # powers of lead(n_i), tabled on demand; None for a value 0
+    tables = [[v.num._lead(scale, group)] if v.num._t else None
+              for v in values]
+    out = []
+    for p in (f.num, f.den):
+        cands = []
+        for exps, c in p.terms.items():
+            m = c.num._lead(scale, group, mask)
+            for table, e in zip(tables, exps):
+                if e and table is None:
+                    break
+                if e:
+                    m = times(m, _tabled(table, e, times))
+            else:
+                cands.append(m)
+        if not cands:
+            out.append(HahnSum.zero(group))
+            continue
+        least = _least_key(group, [m[0] for m in cands])
+        x, y, q = 0, 0, 1
+        for k, (a, b), r in cands:
+            if k == least:
+                x, y, q = x * r + a * q, y * r + b * q, q * r
+        if not (x or y):
+            return _homogeneous(f, values, target, pre)
+        out.append(_reduced(group, scale, q, d, {least: (x, y) if d else x}))
+    return tuple(out)
 
 
 # -- printing -------------------------------------------------------------------

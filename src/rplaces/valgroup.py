@@ -316,7 +316,7 @@ class GroupCut(Ordered):
             return {"kind": "minus_inf"}
         if self.kind == "pinf":
             return {"kind": "plus_inf"}
-        s = self.key[-1][1]
+        s = self.nudge()
         if self.group.kind == WEIGHTED:
             base = {"value": str(self.key[0][0])}
         else:
@@ -333,7 +333,7 @@ class GroupCut(Ordered):
         kind = d.pop("kind")
         if not d:
             return f"<{kind}>"
-        val = d.get("coords") or d.get("fixed_coords") or d.get("value")
+        val = d.get("coords", d.get("fixed_coords", d.get("value")))
         if kind == "coset_edge":
             return f"<coset({','.join(val)}){'+' if self.nudge() > 0 else '-'}>"
         mark = {"above": "+", "below": "-", "element": ""}[kind]
@@ -634,8 +634,9 @@ def _just_past(pos: GroupCut, direction: int) -> Optional[GroupElem]:
     group = pos.group
     n = group.rank
     qs = [q for q, _ in pos.key]
-    s = pos.key[-1][1]
-    if s == -direction:
+    if not qs:  # rank 0: the one element sits at pos, none lies past it
+        return None
+    if pos.key[-1][1] == -direction:
         return group.elem(qs + [0] * (n - len(qs)))
     # an element position (full length), or the coset edge on that side,
     # steps its last coordinate

@@ -5,7 +5,11 @@ FieldElement arithmetic.  The reference that `RatFun.eval_at` and
 `places.eval_place` are checked against: every term lifts its coefficient
 and takes a fresh `v ** e` of each value, and the terms are added as field
 elements.  Nothing is shared between terms and no common denominator is
-formed.
+formed.  `eval_at` builds the two sums of `ratfun._homogeneous`, while
+`eval_place` reads their leading terms from leading monomials
+(`ratfun._leading_sums`) and builds the sums only when those cancel, so
+the two share no code on that path; tests/test_places.py also checks the
+reader against the full sums directly.
 
 `parse_per_token`: the parser that builds a RatFun for every token and
 normalises after every operator, through the public RatFun arithmetic.

@@ -1,7 +1,9 @@
 """Tests for places of rational function fields: construction from cuts,
 realized multi-variable places, Gauss-type places, and the searches."""
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 from ratfun_reference import evaluate_per_term
 import rplaces.cuts as cuts_module
 import rplaces.places as places_module
+import rplaces.ratfun as ratfun_module
 from rplaces.coeff import QuadExt
 from rplaces.valgroup import LEX, LOWER, UPPER, WEIGHTED, ValueGroup
 from rplaces.ordfield import INF, FieldDescriptor, FieldMismatchError, lift
-from rplaces.ratfun import POLE, Poly, RatFun, format_ratfun, parse_ratfun
+from rplaces.ratfun import (POLE, Poly, RatFun, _homogeneous, _leading_sums,
+                            format_ratfun, parse_ratfun)
 from rplaces.balls import Ball
 from rplaces.cuts import (cut_cmp, cut_edge, cut_filler, cut_minus_inf,
                           cut_plus_inf, cut_principal, equivalent)
@@ -644,6 +648,110 @@ class TestQuotientRealizations:
                     (want.value.a, want.value.b, want.value.d)
             seen.add(outcome(got))
         assert seen == {"zero", "inf", "finite"}
+
+
+class TestLeadingSums:
+    """`ratfun._leading_sums`, which eval_place reads, against the full
+    sums of `ratfun._homogeneous`: the same zero sums and the same
+    `leading()`, stored coefficient form included, whether the leading
+    monomials decide or their cancellation makes the reader build the
+    sums."""
+
+    @staticmethod
+    def check(f, values, F) -> int:
+        """Compares the two; returns how often the reader built the full
+        sums (0 or 1)."""
+        with mock.patch.object(ratfun_module, "_homogeneous",
+                               wraps=_homogeneous) as full:
+            got = _leading_sums(f, values, F)
+        for g, w in zip(got, _homogeneous(f, values, F)):
+            assert g.is_zero() == w.is_zero()
+            if not w.is_zero():
+                (gg, gc), (wg, wc) = g.leading(), w.leading()
+                assert gg == wg
+                assert (gc.a, gc.b, gc.d) == (wc.a, wc.b, wc.d)
+        return full.call_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["sqrt 2", "lex 2", "weighted"]),
+           st.integers(1, 3))
+    def test_quotient_realizations(self, seed, kind, n):
+        base, F, (a, b) = TestQuotientRealizations.setting(kind)
+        rng = random.Random(seed)
+        X = RatFun.var(base, ("x", "y"), "x")
+        Y = RatFun.var(base, ("x", "y"), "y")
+        ra, rb = base.const(a.residue()), base.const(b.residue())
+        fs = [random_ratfun(rng, base, ("x", "y")) for _ in range(3)]
+        cancelling = [X - ra, (X - ra + (Y - rb) ** n) / (X - ra),
+                      (Y - rb) ** n / (X - ra)]
+        for f in fs + [fs[0] * (Y - rb) ** n, X * Y + 1, 1 / X]:
+            for values in ([a, b], [F.zero(), b], [a, F.zero()]):
+                self.check(f, values, F)
+        for f in cancelling:
+            assert self.check(f, [a, b], F) == 1
+
+    def test_cut_places(self):
+        R, R2, rt2 = sqrt2_pair()
+        B = Ball(R, R.zero(), R.group.seg_above(R.group.elem(2)))
+        cuts = [cut_edge(B, LOWER), cut_edge(B, UPPER),
+                cut_principal(R.const(2), UPPER), cut_filler(rt2, UPPER, R),
+                cut_filler(rt2 + 3, LOWER, R), cut_plus_inf(R),
+                cut_minus_inf(R)]
+        texts = ("y", "1/y", "y - 2", "1/(y - 2)", "y^2 - 2", "1/(y^2 - 2)",
+                 "(y^2 - 2)/(y - 2)", "t^(3)/y", "(y^3 + t^(1))/(y^2 + 3)")
+        rng = random.Random(7)
+        built = 0
+        for C in cuts:
+            P = place_from_cut(C)
+            fs = [rf(text, R) for text in texts]
+            fs += [random_ratfun(rng, R, ("y",)) for _ in range(8)]
+            for f in fs:
+                built += self.check(f, [P.realization["y"]], P.field)
+        assert built > 0
+
+    def test_mixed_exponent_scales(self):
+        R = rational_field()
+        y = R.monomial(R.group.elem(Fraction(1, 3))) + \
+            R.monomial(R.group.elem(Fraction(1, 2)))
+        built = [self.check(rf(text, R), [y], R) for text in (
+            "t^(1/2)*y + 1", "t^(1/2)*y^2 - y", "1/(t^(1/2)*y)",
+            "y^3 - t^(1)", "(y^2 + 1)/(t^(1/2)*y - t^(5/6))")]
+        assert built == [0, 0, 0, 1, 1]
+
+    def test_surd_leading_coefficients_with_rational_products(self):
+        R, R2, rt2 = sqrt2_pair()
+        y = rt2 + R2.monomial(R2.group.elem(1))
+        for F in (R, R2):  # coefficients lifted into R2, or already there
+            built = [self.check(rf(text, F), [y], R2) for text in (
+                "y^2", "y^2 + 1", "(y + 1)/y^3", "y^2 - 2",
+                "y/(y^2 - 2)")]
+            assert built == [0, 0, 0, 1, 1]
+        built = [self.check(rf(text, R2), [y], R2) for text in (
+            "sqrt(2)*y", "sqrt(2)*y - 2", "1/(sqrt(2)*y^3 - 4)")]
+        assert built == [0, 1, 1]
+
+    def test_full_sums_only_when_leading_summands_cancel(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+        monkeypatch.setattr(ratfun_module, "_homogeneous",
+                            counted("full", _homogeneous))
+        monkeypatch.setattr(FieldDescriptor, "embedding_mask_into",
+                            counted("mask",
+                                    FieldDescriptor.embedding_mask_into))
+        R, R2, rt2 = sqrt2_pair()
+        P = realized_place(R, {"y": rt2 + R2.monomial(R2.group.elem(1))})
+        calls.clear()
+        assert eval_place(P, rf("y^2 + 1", R)) == PlaceValue(QuadExt(3))
+        assert calls == {"mask": 1}
+        calls.clear()
+        assert eval_place(P, rf("y^2 - 2", R)).is_zero()
+        assert calls == {"mask": 1, "full": 1}
 
 
 class TestSeparatingSearch:

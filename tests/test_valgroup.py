@@ -151,6 +151,12 @@ class TestPositions:
         assert LEX0.below(LEX0.elem()) == LEX0.minus_inf()
         assert LEX0.minus_inf() < LEX0.at(LEX0.elem()) < LEX0.plus_inf()
 
+    def test_rank0_element_position_describes(self):
+        pos = LEX0.at(LEX0.zero())
+        assert pos.describe() == {"kind": "element", "coords": []}
+        assert repr(pos) == "<()>"
+        assert repr(LEX1.at(LEX1.zero())) == "<(0)>"
+
     def test_order_transitive_sampled(self):
         rng = random.Random(3)
         coords = [Q(k, d) for k in range(-4, 5) for d in (1, 2, 3)]
@@ -369,6 +375,18 @@ class TestElementInInterval:
         g = LEX2.elem(1, 2)
         assert element_in_interval(LEX2.below(g), LEX2.at(g)) is None
         assert element_in_interval(LEX2.at(g), LEX2.above(g)) is None
+
+    def test_rank0(self):
+        """In rank 0 the infinities are the positions just below and just
+        above the one element 0, so the intervals reaching its position
+        hold no element strictly inside, as for below(g), at(g) in any
+        rank; the whole group's interval holds 0."""
+        at0 = LEX0.at(LEX0.zero())
+        assert LEX0.below(LEX0.zero()) == LEX0.minus_inf()
+        assert element_in_interval(LEX0.minus_inf(), at0) is None
+        assert element_in_interval(at0, LEX0.plus_inf()) is None
+        assert element_in_interval(LEX0.minus_inf(),
+                                   LEX0.plus_inf()) == LEX0.zero()
 
     def test_around_infinities(self):
         g = element_in_interval(LEX2.minus_inf(), LEX2.below(LEX2.zero()))
