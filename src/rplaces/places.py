@@ -18,12 +18,13 @@ a Hahn field F with residue field k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .coeff import QuadExt
 from .valgroup import LOWER, UPPER, LEX, WEIGHTED, GroupElem, ValueGroup
 from .ordfield import (DEFAULT_MAX_STEPS, INF, FieldDescriptor, FieldElement,
-                       adjoin_infinitesimal, lift, obstruction)
+                       _least_key, adjoin_infinitesimal, lift, obstruction)
 from .ratfun import Poly, RatFun, _as_element, _leading_sums, format_ratfun
 from .cuts import (Cut, _between, _order, _ordered_equivalent,
                    cut_filler_analyzed)
@@ -250,8 +251,9 @@ def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
     At a realized place f(values) = N/M for the two plain sums that
     substitution over one common denominator gives, and the residue is read
     from their leading terms alone: v(N/M) is v(N) - v(M), and the leading
-    coefficient is N's over M's.  `ratfun._leading_sums` reads those terms
-    from leading monomials and builds N and M only when they cancel."""
+    coefficient is N's over M's.  `ratfun._leading_sums` gives those terms
+    as stored integers, building a sum only when its leading monomials
+    cancel; the exponent order and the quotient are decided in integers."""
     if place.kind == "gauss":
         return _gauss_value(place.base, place.field, place.variables[0], f)
     if place.kind == "composed":
@@ -264,20 +266,24 @@ def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
         raise ValueError(f"place does not assign {missing[0]!r}")
     top, bottom = _leading_sums(
         f, [place.realization[v] for v in f.variables], place.field)
-    if bottom.is_zero():
-        if top.is_zero():
+    if bottom is None:
+        if top is None:
             raise ArithmeticError("0/0: the function is indeterminate "
                                   "at this place")
         return PlaceValue.infinite()
-    if top.is_zero():
+    if top is None:
         return PlaceValue(QuadExt(0))
-    (gn, cn), (gd, cd) = top.leading(), bottom.leading()
-    order = gn.cmp(gd)
-    if order < 0:
-        return PlaceValue.infinite()
-    if order > 0:
+    (kn, (xn, yn), qn), (kd, (xd, yd), qd) = top, bottom
+    if kn != kd:  # distinct keys are distinct exponents, see ValueGroup
+        if _least_key(place.field.group, (kn, kd)) == kn:
+            return PlaceValue.infinite()
         return PlaceValue(QuadExt(0))
-    return PlaceValue(cn / cd)
+    d = place.field.coeff_d
+    if yd:  # times the conjugate xd - yd*sqrt(d) over num and den
+        xn, yn, xd = xn * xd - d * yn * yd, yn * xd - xn * yd, \
+            xd * xd - d * yd * yd
+    return PlaceValue(QuadExt(Fraction(qd * xn, qn * xd),
+                              Fraction(qd * yn, qn * xd), d))
 
 
 def harrison(place: RPlace, f: RatFun) -> bool:
@@ -365,38 +371,21 @@ def _perturbed_place(base: FieldDescriptor, items: list,
                   realization, provenance=provenance)
 
 
-def _check_weights(weights: Sequence[QuadExt]) -> tuple:
-    ws = tuple(QuadExt.of(w) for w in weights)
-    for w in ws:
-        if w.sign() <= 0:
-            raise ValueError("weights must be positive")
-    ds = {w.d for w in ws if w.d is not None}
-    if len(ds) > 1:
-        raise ValueError("weights must share one quadratic extension")
-    # rational dependence over the basis (1, sqrt(d)): the span has
-    # dimension <= 2, so three or more weights always collapse
-    if len(ws) > 2:
-        raise ValueError("weights are rationally dependent")
-    if len(ws) == 2 and ws[0].a * ws[1].b == ws[1].a * ws[0].b:
-        raise ValueError("weights are rationally dependent")
-    return ws
-
-
 def independent_place(base: FieldDescriptor, assignment,
                       weights: Sequence, name: Optional[str] = None
                       ) -> RPlace:
     """Variables go to center + eps_i with v(eps_i) of real size given
-    by pairwise rationally independent positive weights, so no two
-    monomials in the eps_i share a valuation."""
+    by rationally independent positive weights (checked by ValueGroup), so
+    no two monomials in the eps_i share a valuation."""
     if base.group.rank != 0:
         raise ValueError("independent places need a constant base field "
                          "(group rank 0)")
     items = _assignment_items(assignment)
     if len(weights) != len(items):
         raise ValueError("need one weight per variable")
-    ws = _check_weights(weights)
-    return _perturbed_place(base, items, ValueGroup(WEIGHTED, len(items), ws),
-                            name, "independent")
+    return _perturbed_place(base, items,
+                            ValueGroup(WEIGHTED, len(items), weights), name,
+                            "independent")
 
 
 def rational_place_compose(assignment, zeta: ResiduePlace,

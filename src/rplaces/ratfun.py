@@ -11,8 +11,8 @@ stored as 0/1.  A parse carries one unnormalised pair of plain-sum term
 dicts and normalises it once (`_Parser`).  Fractions are never gcd-reduced.
 Substitution makes num and den two plain sums over one common denominator
 (`_homogeneous`); their quotient is the value, and a zero den sum is a pole.
-A place needs only their leading terms, read from leading monomials
-(`_leading_sums`).
+A place needs only their leading terms, read in integers from leading
+monomials (`_leading_sums`).
 
 Invariant: a Poly's terms map int exponent tuples, one entry per variable,
 to nonzero elements of its field.  The public constructor checks and
@@ -27,11 +27,11 @@ import math
 from fractions import Fraction
 from functools import partial, reduce
 from operator import add, mul
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .coeff import QuadExt, _power
 from .ordfield import (FieldDescriptor, FieldElement, FieldMismatchError,
-                       HahnSum, _least_key, _mono_mul, _reduced, lift)
+                       HahnSum, _least_key, _mono_mul, lift)
 
 
 class PoleMarker:
@@ -200,13 +200,15 @@ def _product_terms(a: dict, b: dict) -> dict:
 
 def _is_one(p: Poly) -> bool:
     """p is the constant polynomial 1 with its coefficient stored as 1/1 (a
-    canonical denominator with one term is 1), so a product with p leaves
-    every representation as it is.  A one stored as (1 + t)/(1 + t), which
-    only a Poly outside a RatFun can hold, multiplies out as usual."""
+    canonical denominator with one term is 1, and so is a monic one-term
+    numerator), so a product with p leaves every representation as it is.
+    A one stored as (1 + t)/(1 + t), which only a Poly outside a RatFun can
+    hold, multiplies out as usual."""
     if len(p.terms) != 1:
         return False
     (key, c), = p.terms.items()
-    return not any(key) and len(c.den._t) == 1 and c.num == c.den
+    return not any(key) and len(c.den._t) == 1 and len(c.num._t) == 1 \
+        and c.num._is_monic()
 
 
 def _cleared(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -390,16 +392,13 @@ def _tabled(table: list, e: int, times=mul):
     return table[e - 1]
 
 
-def _homogeneous(f: RatFun, values: list, target: FieldDescriptor,
-                 prepared: Optional[tuple] = None) -> tuple[HahnSum, HahnSum]:
-    """(N, M), sums in `target`'s group with f(values) = N/M: at n_i/d_i,
-    p in (num, den) gives sum c_k * prod n_i^k_i * d_i^(D_i - k_i), that is
-    p(values) * prod d_i^D_i for D_i = max(deg_i num, deg_i den) (Knuth,
-    TAOCP vol. 2, 4.6.4).  Coefficients have denominator 1 and enter as
-    numerators; powers are tabled on demand and a d_i of 1 is skipped.  Used
-    by `RatFun.eval_at`, and by `_leading_sums` when its summands cancel."""
-    mask, values = prepared or _prepared(f, values, target)
-    group = target.group
+def _substitution(f: RatFun, mask: Optional[tuple], values: list,
+                  group) -> Callable[[Poly], HahnSum]:
+    """The map p -> sum c_k * prod n_i^k_i * d_i^(D_i - k_i), for p in
+    (f.num, f.den) at the lifted values n_i/d_i, D_i = max(deg_i num,
+    deg_i den): p(values) * prod d_i^D_i (Knuth, TAOCP vol. 2, 4.6.4).
+    Coefficients have denominator 1 and enter as numerators; powers are
+    tabled on demand and a d_i of 1 is skipped."""
     degrees = [max(e) for e in zip(*f.num.terms, *f.den.terms)]
     tables = [([v.num], [v.den] if len(v.den._t) != 1 else None)
               for v in values]
@@ -415,16 +414,25 @@ def _homogeneous(f: RatFun, values: list, target: FieldDescriptor,
                     part = part * _tabled(ds, top - e)
             out = out + part
         return out
+    return total
+
+
+def _homogeneous(f: RatFun, values: list,
+                 target: FieldDescriptor) -> tuple[HahnSum, HahnSum]:
+    """(N, M), sums in `target`'s group with f(values) = N/M: num and den
+    under `_substitution`.  Used by `RatFun.eval_at`."""
+    total = _substitution(f, *_prepared(f, values, target), target.group)
     return total(f.num), total(f.den)
 
 
-def _leading_sums(f: RatFun, values: list,
-                  target: FieldDescriptor) -> tuple[HahnSum, HahnSum]:
-    """Sums with the leading terms of the `_homogeneous` sums N and M, read
-    in integers: c_k * prod n_i^k_i * d_i^(D_i - k_i) leads with lead(c_k) *
+def _leading_sums(f: RatFun, values: list, target: FieldDescriptor) -> tuple:
+    """The leading terms of the `_homogeneous` sums N and M as `_lead`
+    triples (key, (x, y), q) at one scale, None for a zero sum, read in
+    integers: c_k * prod n_i^k_i * d_i^(D_i - k_i) leads with lead(c_k) *
     prod lead(n_i)^k_i (a canonical d_i leads with 1), or is 0 if a k_i > 0
-    falls on a value 0.  If the least of these cancel, N and M are built."""
-    pre = mask, values = _prepared(f, values, target)
+    falls on a value 0.  If the least of these cancel in one sum, that sum
+    alone is built, and both triples move to a scale that covers it."""
+    mask, values = _prepared(f, values, target)
     group, d = target.group, target.coeff_d
     times = partial(_mono_mul, d=d or 0)
     scale = math.lcm(*{c.num._n for p in (f.num, f.den)
@@ -432,7 +440,7 @@ def _leading_sums(f: RatFun, values: list,
     # powers of lead(n_i), tabled on demand; None for a value 0
     tables = [[v.num._lead(scale, group)] if v.num._t else None
               for v in values]
-    out = []
+    out, full = [], None
     for p in (f.num, f.den):
         cands = []
         for exps, c in p.terms.items():
@@ -445,17 +453,26 @@ def _leading_sums(f: RatFun, values: list,
             else:
                 cands.append(m)
         if not cands:
-            out.append(HahnSum.zero(group))
+            out.append(None)
             continue
         least = _least_key(group, [m[0] for m in cands])
         x, y, q = 0, 0, 1
         for k, (a, b), r in cands:
             if k == least:
                 x, y, q = x * r + a * q, y * r + b * q, q * r
-        if not (x or y):
-            return _homogeneous(f, values, target, pre)
-        out.append(_reduced(group, scale, q, d, {least: (x, y) if d else x}))
-    return tuple(out)
+        if x or y:
+            out.append((least, (x, y), q))
+            continue
+        full = full or _substitution(f, mask, values, group)
+        s = full(p)
+        out.append(s if s._t else None)
+    if full is None:
+        return tuple(out)
+    # a value's den may hold exponents at a scale that `scale` lacks
+    n = math.lcm(scale, *(s._n for s in out if isinstance(s, HahnSum)))
+    return tuple(s._lead(n, group) if isinstance(s, HahnSum) else
+                 s and (tuple(x * (n // scale) for x in s[0]), *s[1:])
+                 for s in out)
 
 
 # -- printing -------------------------------------------------------------------

@@ -4,7 +4,8 @@ Two group kinds are supported:
 
 * lexicographic QQ^n (coordinate 0 most significant),
 * weighted: QQ^n order-embedded in the reals by q |-> sum q_i * w_i for
-  positive, pairwise QQ-linearly independent weights w_i in Q(sqrt(d)).
+  positive, QQ-linearly independent weights w_i in one Q(sqrt(d)); the
+  span of Q(sqrt(d)) over QQ has dimension 2, so n <= 2.
 
 A *position* (GroupCut) is a point of the order completion: below all
 elements, above all, exactly at an element, immediately above/below an
@@ -56,15 +57,16 @@ class ValueGroup:
             if weights is None or len(weights) != rank:
                 raise ValueError("weighted groups need one weight per rank")
             weights = tuple(QuadExt.of(w) for w in weights)
-            for w in weights:
-                if w.sign() <= 0:
-                    raise ValueError("weights must be positive")
-            for i in range(len(weights)):
-                for j in range(i + 1, len(weights)):
-                    # w_i, w_j dependent over QQ iff the ratio is rational
-                    if (weights[i] / weights[j]).is_rational():
-                        raise ValueError(
-                            f"weights {i} and {j} are rationally dependent")
+            if any(w.sign() <= 0 for w in weights):
+                raise ValueError("weights must be positive")
+            if len({w.d for w in weights} - {None}) > 1:
+                raise ValueError("weights must share one quadratic extension")
+            # over the basis (1, sqrt(d)) the weights span dimension <= 2,
+            # so three or more are always dependent; two are iff the 2x2
+            # determinant of their coordinates vanishes
+            if rank > 2 or rank == 2 and \
+                    weights[0].a * weights[1].b == weights[1].a * weights[0].b:
+                raise ValueError("weights are rationally dependent")
             self.weights = weights
             # the weights as a_i + b_i*sqrt(d) over one positive integer
             # denominator, which it drops: sum k_i*(a_i + b_i*sqrt(d))

@@ -7,9 +7,14 @@ and takes a fresh `v ** e` of each value, and the terms are added as field
 elements.  Nothing is shared between terms and no common denominator is
 formed.  `eval_at` builds the two sums of `ratfun._homogeneous`, while
 `eval_place` reads their leading terms from leading monomials
-(`ratfun._leading_sums`) and builds the sums only when those cancel, so
-the two share no code on that path; tests/test_places.py also checks the
+(`ratfun._leading_sums`) and builds a sum only when those cancel, so the
+two share no code on that path; tests/test_places.py also checks the
 reader against the full sums directly.
+
+`place_value_by_objects`: a realized place's value finished in objects,
+as `eval_place` did before it decided in integers: `leading()` of the two
+`_homogeneous` sums, `GroupElem.cmp` of the exponents and `QuadExt`
+division of the coefficients.
 
 `parse_per_token`: the parser that builds a RatFun for every token and
 normalises after every operator, through the public RatFun arithmetic.
@@ -21,7 +26,8 @@ from typing import Optional, Sequence
 
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import FieldDescriptor, lift
-from rplaces.ratfun import RatFun, RatFunSyntaxError, _tokenize
+from rplaces.places import PlaceValue
+from rplaces.ratfun import RatFun, RatFunSyntaxError, _homogeneous, _tokenize
 
 
 def evaluate_per_term(p, assignment, target):
@@ -35,6 +41,26 @@ def evaluate_per_term(p, assignment, target):
                 part = part * v ** e
         total = total + part
     return total
+
+
+def place_value_by_objects(place, f) -> PlaceValue:
+    """The value of the realized place at f from the full sums N and M."""
+    top, bottom = _homogeneous(
+        f, [place.realization[v] for v in f.variables], place.field)
+    if bottom.is_zero():
+        if top.is_zero():
+            raise ArithmeticError("0/0: the function is indeterminate "
+                                  "at this place")
+        return PlaceValue.infinite()
+    if top.is_zero():
+        return PlaceValue(QuadExt(0))
+    (gn, cn), (gd, cd) = top.leading(), bottom.leading()
+    order = gn.cmp(gd)
+    if order < 0:
+        return PlaceValue.infinite()
+    if order > 0:
+        return PlaceValue(QuadExt(0))
+    return PlaceValue(cn / cd)
 
 
 class _PerTokenParser:

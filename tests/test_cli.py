@@ -419,6 +419,15 @@ class TestErrorCodes:
         sess = session()
         assert code(sess, "def-field X = subfield F mask (5)") == "domain"
 
+    def test_rationally_dependent_weights_refused(self):
+        sess = Session()
+        for ws in ("(1, sqrt(2), 1+sqrt(2))", "(1, 2)"):
+            line = f"def-field W = hahn sqrt 2 weighted {ws}"
+            assert run(sess, line)["error"] == {
+                "code": "domain", "message": "weights are rationally dependent"}
+            assert run(sess, line) == run(Session(), line)
+        assert "W" not in sess.fields
+
     @pytest.mark.parametrize("d", ["4", "1", "0", "-3", "1000000000039"])
     def test_radicand_refused_when_the_field_is_declared(self, d):
         sess = session()

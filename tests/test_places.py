@@ -1,5 +1,6 @@
 """Tests for places of rational function fields: construction from cuts,
 realized multi-variable places, Gauss-type places, and the searches."""
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratfun_reference import evaluate_per_term
+from ratfun_reference import evaluate_per_term, place_value_by_objects
 import rplaces.cuts as cuts_module
 import rplaces.places as places_module
 import rplaces.ratfun as ratfun_module
@@ -16,7 +17,7 @@ from rplaces.coeff import QuadExt
 from rplaces.valgroup import LEX, LOWER, UPPER, WEIGHTED, ValueGroup
 from rplaces.ordfield import INF, FieldDescriptor, FieldMismatchError, lift
 from rplaces.ratfun import (POLE, Poly, RatFun, _homogeneous, _leading_sums,
-                            format_ratfun, parse_ratfun)
+                            _substitution, format_ratfun, parse_ratfun)
 from rplaces.balls import Ball
 from rplaces.cuts import (cut_cmp, cut_edge, cut_filler, cut_minus_inf,
                           cut_plus_inf, cut_principal, equivalent)
@@ -650,6 +651,22 @@ class TestQuotientRealizations:
         assert seen == {"zero", "inf", "finite"}
 
 
+def read_leading(f, values, F) -> tuple:
+    """(`_leading_sums(f, values, F)`, the list of those of f.num and f.den
+    whose sums it built)."""
+    built = []
+
+    def substitution(*args):
+        total = _substitution(*args)
+
+        def recorded(p):
+            built.append(p)
+            return total(p)
+        return recorded
+    with mock.patch.object(ratfun_module, "_substitution", substitution):
+        return _leading_sums(f, values, F), built
+
+
 class TestLeadingSums:
     """`ratfun._leading_sums`, which eval_place reads, against the full
     sums of `ratfun._homogeneous`: the same zero sums and the same
@@ -659,18 +676,24 @@ class TestLeadingSums:
 
     @staticmethod
     def check(f, values, F) -> int:
-        """Compares the two; returns how often the reader built the full
-        sums (0 or 1)."""
-        with mock.patch.object(ratfun_module, "_homogeneous",
-                               wraps=_homogeneous) as full:
-            got = _leading_sums(f, values, F)
-        for g, w in zip(got, _homogeneous(f, values, F)):
-            assert g.is_zero() == w.is_zero()
-            if not w.is_zero():
-                (gg, gc), (wg, wc) = g.leading(), w.leading()
-                assert gg == wg
-                assert (gc.a, gc.b, gc.d) == (wc.a, wc.b, wc.d)
-        return full.call_count
+        """Compares the two; returns how many sums the reader built (0, 1
+        or 2)."""
+        got, built = read_leading(f, values, F)
+        lifted = [lift(v, F) for v in values]
+        want = _homogeneous(f, values, F)
+        # the common scale: coefficients, value numerators, built sums
+        n = math.lcm(*(c.num._n for p in (f.num, f.den)
+                       for c in p.terms.values()),
+                     *(v.num._n for v in lifted),
+                     *(w._n for p, w in zip((f.num, f.den), want)
+                       if any(p is b for b in built)))
+        for g, w in zip(got, want):
+            assert (g is None) == w.is_zero()
+            if g is not None:
+                (gk, (x, y), r), (wk, (a, b), q) = g, w._lead(w._n, F.group)
+                assert all(k1 * w._n == k2 * n for k1, k2 in zip(gk, wk))
+                assert (x * q, y * q) == (a * r, b * r)
+        return len(built)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32),
@@ -688,8 +711,8 @@ class TestLeadingSums:
         for f in fs + [fs[0] * (Y - rb) ** n, X * Y + 1, 1 / X]:
             for values in ([a, b], [F.zero(), b], [a, F.zero()]):
                 self.check(f, values, F)
-        for f in cancelling:
-            assert self.check(f, [a, b], F) == 1
+        built = [self.check(f, [a, b], F) for f in cancelling]
+        assert built[0] == 1 and all(built)  # X - ra cancels in N alone
 
     def test_cut_places(self):
         R, R2, rt2 = sqrt2_pair()
@@ -739,8 +762,9 @@ class TestLeadingSums:
                 calls[name] += 1
                 return real(*args)
             return wrapper
-        monkeypatch.setattr(ratfun_module, "_homogeneous",
-                            counted("full", _homogeneous))
+        def substitution(*args):
+            return counted("built", _substitution(*args))
+        monkeypatch.setattr(ratfun_module, "_substitution", substitution)
         monkeypatch.setattr(FieldDescriptor, "embedding_mask_into",
                             counted("mask",
                                     FieldDescriptor.embedding_mask_into))
@@ -751,7 +775,123 @@ class TestLeadingSums:
         assert calls == {"mask": 1}
         calls.clear()
         assert eval_place(P, rf("y^2 - 2", R)).is_zero()
-        assert calls == {"mask": 1, "full": 1}
+        assert calls == {"mask": 1, "built": 1}
+
+
+class TestIntegerFinish:
+    """eval_place, which decides the exponent order and the coefficient
+    quotient in integers, against `place_value_by_objects`, the finish in
+    GroupElem and QuadExt objects of the full sums, printed form
+    included."""
+
+    @staticmethod
+    def check(place, fs, seen: set) -> None:
+        """Compares the two on every f; adds the cases met to `seen`."""
+        F = place.field
+        values = [place.realization[v] for v in place.variables]
+        if any(v.is_zero() for v in values):
+            seen.add("value 0")
+        for f in fs:
+            (top, bottom), built = read_leading(f, values, F)
+            if len(built) == 1:
+                seen.add("only N" if built[0] is f.num else "only M")
+            scale = math.lcm(*(c.num._n for p in (f.num, f.den)
+                               for c in p.terms.values()),
+                             *(v.num._n for v in values))
+            if built and any(scale % v.den._n for v in values):
+                seen.add("den scale")
+            if bottom is not None and bottom[1][1]:
+                seen.add("yd")
+            if top is not None and bottom is not None and \
+                    F.group.kind == WEIGHTED and \
+                    {(a > b) - (a < b) for a, b in zip(top[0], bottom[0])} \
+                    >= {-1, 1}:
+                seen.add("surd order")
+            try:
+                want = place_value_by_objects(place, f)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError):
+                    eval_place(place, f)
+                seen.add("0/0")
+                continue
+            got = eval_place(place, f)
+            assert got == want and str(got) == str(want)
+            if got.is_finite():
+                assert (got.value.a, got.value.b, got.value.d) == \
+                    (want.value.a, want.value.b, want.value.d)
+            seen.add("pole" if bottom is None else outcome(got))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["sqrt 2", "lex 2", "weighted"]))
+    def test_quotient_realizations(self, seed, kind):
+        base, F, (a, b) = TestQuotientRealizations.setting(kind)
+        rng = random.Random(seed)
+        X = RatFun.var(base, ("x", "y"), "x")
+        Y = RatFun.var(base, ("x", "y"), "y")
+        ra, rb = base.const(a.residue()), base.const(b.residue())
+        # g leads with the second unit exponent in the weighted setting
+        g = Y - rb + (2 * X - 1) * rb
+        fs = [random_ratfun(rng, base, ("x", "y")) for _ in range(3)]
+        fs += [X - ra, 1 / (Y - rb), 1 / Y, Y / X, X / X,
+               (X - ra) ** 3 / g ** 2, g ** 2 / (X - ra) ** 3]
+        seen = set()
+        for values in ([a, b], [F.zero(), b], [a, F.zero()]):
+            self.check(realized_place(base, dict(zip("xy", values))), fs,
+                       seen)
+        want = {"only N", "only M", "value 0", "pole", "0/0", "zero", "inf",
+                "finite"}
+        want |= {"yd"} if kind != "lex 2" else set()
+        want |= {"surd order"} if kind == "weighted" else set()
+        assert want <= seen
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_cut_and_independent_places(self, seed):
+        R, R2, rt2 = sqrt2_pair()
+        B = Ball(R, R.zero(), R.group.seg_above(R.group.elem(2)))
+        cuts = [cut_edge(B, LOWER), cut_edge(B, UPPER),
+                cut_principal(R.const(2), UPPER), cut_filler(rt2, UPPER, R),
+                cut_filler(rt2 + 3, LOWER, R), cut_plus_inf(R),
+                cut_minus_inf(R)]
+        texts = ("y", "1/y", "y - 2", "1/(y - 2)", "y^2 - 2", "1/(y^2 - 2)",
+                 "(y^2 - 2)/(y - 2)", "t^(3)/y", "(y^3 + t^(1))/(y^2 + 3)")
+        rng = random.Random(seed)
+        seen = set()
+        for C in cuts:
+            fs = [rf(text, R) for text in texts]
+            fs += [random_ratfun(rng, R, ("y",)) for _ in range(3)]
+            self.check(place_from_cut(C), fs, seen)
+        k = constants()
+        # 3 against 2*sqrt(2) and 7 against 5*sqrt(2)
+        texts = ("x^3/y^2", "y^2/x^3", "x^7/y^5", "y^5/x^7", "(x + y)/x")
+        fs = [rf(text, k, ("x", "y")) for text in texts]
+        fs += [random_ratfun(rng, k, ("x", "y")) for _ in range(3)]
+        for ws in ((1, SQRT2), (SQRT2, QuadExt(1, 1, 2))):
+            self.check(independent_place(k, [("x", 0), ("y", 0)], ws), fs,
+                       seen)
+        assert {"yd", "surd order", "only N", "only M", "zero", "inf",
+                "finite"} <= seen
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_mixed_exponent_scales(self, seed):
+        R = rational_field()
+        t = R.monomial(R.group.elem(1))
+        values = [R.monomial(R.group.elem(Fraction(1, 3))) +
+                  R.monomial(R.group.elem(Fraction(1, 2))),
+                  # a den at the scale 7, which no numerator has
+                  (1 + t) / (1 + R.monomial(R.group.elem(Fraction(1, 7))))]
+        texts = ("t^(1/2)*y + 1", "t^(1/2)*y^2 - y", "1/(t^(1/2)*y)",
+                 "y^3 - t^(1)", "(y^2 + 1)/(t^(1/2)*y - t^(5/6))", "y - 1",
+                 "1/(y - 1)", "(y - 1)/(y^2 - 1)")
+        rng = random.Random(seed)
+        fs = [rf(text, R) for text in texts]
+        fs += [random_ratfun(rng, R, ("y",)) for _ in range(3)]
+        seen = set()
+        for y in values:
+            self.check(realized_place(R, {"y": y}), fs, seen)
+        assert {"den scale", "only N", "only M"} <= seen
 
 
 class TestSeparatingSearch:

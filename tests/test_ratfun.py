@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from ratfun_reference import evaluate_per_term, parse_per_token
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import (
-    FieldDescriptor, FieldElement, FieldMismatchError, lift,
+    FieldDescriptor, FieldElement, FieldMismatchError, _sum, lift,
 )
 from rplaces.ratfun import (
-    POLE, Poly, PoleMarker, RatFun, RatFunSyntaxError, format_poly,
-    format_ratfun, parse_ratfun,
+    POLE, Poly, PoleMarker, RatFun, RatFunSyntaxError, _is_one, _poly,
+    format_poly, format_ratfun, parse_ratfun,
 )
 from rplaces.valgroup import LEX, WEIGHTED, ValueGroup
 
@@ -830,6 +830,30 @@ class TestParseAgainstPerToken:
 
 
 class TestBuildCost:
+    def test_is_one_reads_the_stored_form(self):
+        """`_is_one` agrees with comparing num and den as sums."""
+        R = rational_field()
+        R2 = R.extend_coeff("R2", 2)
+        t = R.monomial(R.group.elem(Q(1, 2)))
+        rt2 = R2.const(QuadExt(0, 1, 2))
+        one = R.one().den
+        # 1 and 1 + t at the exponent scale 2, as a sum may store them
+        one2 = _sum(R.group, 2, 1, None, {(0,): 1})
+        cs = [R.one(), R.const(2), R.const(-1), R.const(Q(1, 2)), t,
+              R.one() + t, FieldElement(R, one2, one),
+              FieldElement(R, one2, one2), FieldElement(R, one2 + t.num, one),
+              FieldElement(R, (1 + t).num, (1 + t).num), R2.one(), rt2,
+              (1 + rt2) - rt2, rt2 * rt2 / 2]
+        got = []
+        for c in cs:
+            for key in ((0,), (1,)):
+                p = _poly(R if c.field is R else R2, ("y",), {key: c})
+                want = not any(key) and len(c.den._t) == 1 and c.num == c.den
+                assert _is_one(p) == want
+                got.append(want)
+        assert got.count(True) == 6
+        assert not _is_one(Poly(R, ("y",), {}))
+
     def test_parse_runs_no_subtraction_and_shares_the_unit(self,
                                                            monkeypatch):
         R = rational_field()

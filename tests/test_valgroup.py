@@ -45,6 +45,18 @@ class TestCmpGroup:
         with pytest.raises(ValueError):
             ValueGroup("weighted", 2, (QuadExt(1), QuadExt(-1, 1, 2) * -1))
 
+    def test_weights_dependent_as_a_set_rejected(self):
+        # pairwise independent, yet 1 + sqrt(2) is the sum of the others:
+        # t^(1,1,0) and t^(0,0,1) would be distinct elements of one size
+        rt2 = QuadExt.sqrt(2)
+        for ws in ((QuadExt(1), rt2, QuadExt(1, 1, 2)),
+                   (QuadExt(1), rt2, QuadExt(1, 1, 2), QuadExt(3, 5, 2))):
+            with pytest.raises(ValueError, match="rationally dependent"):
+                ValueGroup("weighted", len(ws), ws)
+        with pytest.raises(ValueError, match="one quadratic extension"):
+            ValueGroup("weighted", 2, (rt2, QuadExt.sqrt(3)))
+        assert ValueGroup("weighted", 2, (QuadExt(1, 1, 2), rt2)).rank == 2
+
     def test_cmp_total_order_sampled(self):
         rng = random.Random(7)
         pool = [Q(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(40)]
