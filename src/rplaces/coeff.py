@@ -183,7 +183,7 @@ class QuadExt(Ordered):
     def __pow__(self, n: int) -> "QuadExt":
         if n < 0:
             return self.inverse() ** (-n)
-        return _power(self, n, QuadExt(1))
+        return _power(self, n, lambda: QuadExt(1))
 
     # -- order ----------------------------------------------------------------
 
@@ -253,15 +253,20 @@ class QuadExt(Ordered):
 
 
 def _power(base, n: int, one, times=mul):
-    """base^n for n >= 0 by square-and-multiply, with products `times`;
-    no square is built after the last exponent bit."""
-    out = one
-    while n:
+    """base^n for n >= 0 by square-and-multiply, with products `times`.
+    The product starts from the first power of base it needs, so the
+    identity one() is built only for n = 0, and no square is built after
+    the last exponent bit."""
+    if not n:
+        return one()
+    while not n & 1:
+        base = times(base, base)
+        n >>= 1
+    out = base
+    while n := n >> 1:
+        base = times(base, base)
         if n & 1:
             out = times(out, base)
-        n >>= 1
-        if n:
-            base = times(base, base)
     return out
 
 

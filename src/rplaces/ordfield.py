@@ -28,7 +28,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import add, mul
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .coeff import (Ordered, QuadExt, _check_radicand, _power, _surd_sign,
@@ -449,14 +449,13 @@ class HahnSum:
 
     def _sorted_keys(self) -> list:
         """The stored keys by increasing exponent."""
-        surd = self.group._surd
-        if surd is None:
+        group = self.group
+        if group._surd is None:
             return sorted(self._t)
-        wa, wb, d = surd
-        val = {k: (sum(map(mul, k, wa)), sum(map(mul, k, wb)))
-               for k in self._t}
+        d = group._surd[2]
+        size = {k: group._size(k) for k in self._t}
         return sorted(self._t, key=cmp_to_key(lambda k1, k2: _surd_sign(
-            val[k1][0] - val[k2][0], val[k1][1] - val[k2][1], d)))
+            size[k1][0] - size[k2][0], size[k1][1] - size[k2][1], d)))
 
     def _coeff(self, v) -> QuadExt:
         q = self._q
@@ -610,14 +609,13 @@ def _reduced(group: ValueGroup, n: int, q: int, d: Optional[int],
 
 def _least_key(group: ValueGroup, keys) -> tuple:
     """The key of the least exponent among int keys at one scale, for a
-    weighted group by the exact sign of the weight sums' difference."""
-    surd = group._surd
-    if surd is None:
+    weighted group by the sign of the difference of their sizes."""
+    if group._surd is None:
         return min(keys)
-    wa, wb, d = surd
+    d = group._surd[2]
     best = None
     for k in keys:
-        a, b = sum(map(mul, k, wa)), sum(map(mul, k, wb))
+        a, b = group._size(k)
         if best is None or _surd_sign(a - ba, b - bb, d) < 0:
             best, ba, bb = k, a, b
     return best
@@ -758,7 +756,7 @@ class FieldElement(Ordered):
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
             return (self.field.one() / self) ** (-k)
-        return _power(self, k, self.field.one())
+        return _power(self, k, self.field.one)
 
     def inverse(self) -> "FieldElement":
         return self.field.one() / self

@@ -514,8 +514,8 @@ def find_separating_function(C1: Cut, C2: Cut, var: str = "y") -> tuple:
             v2 = eval_place(P2, f)
             if v1 != v2:
                 return f, v1, v2
-    raise LookupError("no separating function in the search family; "
-                      "the cuts differ only below residue scale")
+    raise LookupError(f"no function of the searched family ({var} - c and "
+                      f"1/({var} - c) over the anchors c) separated the cuts")
 
 
 def distinguish_stacked_independent(p1: RPlace, p2: RPlace,

@@ -24,6 +24,7 @@ share terms (and whole operands) with their inputs.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import partial, reduce
 from operator import add, mul
@@ -153,8 +154,8 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, n, Poly.const(self.field, self.variables,
-                                          self.field.one()))
+        return _power(self, n, lambda: Poly.const(
+            self.field, self.variables, self.field.one()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -332,8 +333,8 @@ class RatFun:
             if self.num.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RatFun(self.den, self.num) ** (-n)
-        return _power(self, n, RatFun.const(self.field, self.variables,
-                                            self.field.one()))
+        return _power(self, n, lambda: RatFun.const(
+            self.field, self.variables, self.field.one()))
 
     def __eq__(self, other) -> bool:
         """Equality of functions: fractions are not reduced, so compare
@@ -537,36 +538,23 @@ class RatFunSyntaxError(ValueError):
         self.position = position
 
 
+# one match per token; whitespace matches nothing and is skipped.  The
+# classes are those of the str methods: \s is isspace, \d isdecimal (the
+# digits int() reads) and \w is isalnum or "_"
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>\w+)|(?P<op>[-+*/^(),])|\S")
+
+
 def _tokenize(text: str) -> list:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            # exactly the digits int() reads; "²" passes isdigit() only
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise RatFunSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, tok, at = m.lastgroup, m.group(), m.start()
+        # a name starts with a letter or "_"; "²" and "½" are word
+        # characters that start none
+        if kind is None or (kind == "name" and not (
+                tok[0].isalpha() or tok[0] == "_")):
+            raise RatFunSyntaxError(f"unexpected character {tok[0]!r}", at)
+        tokens.append((tok if kind == "op" else kind, tok, at))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -674,7 +662,7 @@ class _Parser:
             if not base[0]:
                 raise RatFunSyntaxError("division by zero", at)
             base, n = base[::-1], -n
-        return _power(base, n, (self.one, self.one), self.product)
+        return _power(base, n, lambda: (self.one, self.one), self.product)
 
     def atom(self) -> tuple:
         kind, text, at = self.take()

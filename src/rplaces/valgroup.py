@@ -10,9 +10,11 @@ Two group kinds are supported:
 A *position* (GroupCut) is a point of the order completion: below all
 elements, above all, exactly at an element, immediately above/below an
 element, or an edge of a coset g + H_k of a standard convex subgroup
-H_k = {0}^k x QQ^(n-k).  Positions are encoded as nudge-terminated keys so
-that one entrywise comparison decides the order of any two of them and of
-any element against any of them.
+H_k = {0}^k x QQ^(n-k).  A lexicographic position is a nudge-terminated
+key, so that one tuple comparison decides the order of any two of them and
+of any element against any of them.  A weighted position rests on an
+element and is keyed by its coordinates and a nudge; its order is that of
+the elements' sizes (ValueGroup._size), then of the nudges.
 
 Final segments of the group are represented by their boundary position:
 S = {g : g > boundary}.
@@ -22,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from operator import mul, sub
+from typing import Optional, Sequence
 
-from .coeff import Ordered, QuadExt, rational_between
+from .coeff import Ordered, QuadExt, _surd_sign, rational_between
 
 LOWER = -1
 UPPER = 1
@@ -69,8 +72,7 @@ class ValueGroup:
                 raise ValueError("weights are rationally dependent")
             self.weights = weights
             # the weights as a_i + b_i*sqrt(d) over one positive integer
-            # denominator, which it drops: sum k_i*(a_i + b_i*sqrt(d))
-            # orders integer coordinate tuples k like the real values
+            # denominator, which it drops (see _size)
             den = math.lcm(*(q.denominator for w in weights
                              for q in (w.a, w.b)))
             d = next((w.d for w in weights if w.d is not None), None)
@@ -119,12 +121,27 @@ class ValueGroup:
         return self.elem(*coords)
 
     def real_value(self, g: "GroupElem") -> QuadExt:
+        """sum q_i*w_i as a real number, for printing; orders use _size."""
         if self.kind != WEIGHTED:
             raise ValueError("real_value needs a weighted group")
         out = QuadExt(0)
         for q, w in zip(g.coords, self.weights):
             out = out + w * q
         return out
+
+    def _size(self, k) -> tuple:
+        """The pair (a, b) with sum k_i*w_i = (a + b*sqrt(d))/den, for int
+        or rational coordinates k of a weighted group and den the weights'
+        common denominator: the sign of a difference of two sizes, by
+        coeff._surd_sign, orders their coordinate tuples."""
+        wa, wb, _ = self._surd
+        return sum(map(mul, k, wa)), sum(map(mul, k, wb))
+
+    def _order(self, k1, k2) -> int:
+        """-1, 0 or 1 as the coordinates k1 of a weighted group lie below,
+        at or above k2."""
+        return _surd_sign(*self._size(tuple(map(sub, k1, k2))),
+                          self._surd[2])
 
     def cmp(self, g1: "GroupElem", g2: "GroupElem") -> int:
         if g1.group != self or g2.group != self:
@@ -133,7 +150,7 @@ class ValueGroup:
             if g1.coords == g2.coords:
                 return 0
             return 1 if g1.coords > g2.coords else -1
-        return self.real_value(g1).cmp(self.real_value(g2))
+        return self._order(g1.coords, g2.coords)
 
     # -- positions ------------------------------------------------------------
 
@@ -147,7 +164,7 @@ class ValueGroup:
         """The position occupied by the element itself."""
         self._own(g)
         if self.kind == WEIGHTED:
-            return GroupCut(self, "key", ((self.real_value(g), 0),))
+            return GroupCut(self, "key", ((g.coords, 0),))
         return GroupCut(self, "key", tuple((q, 0) for q in g.coords))
 
     def above(self, g: "GroupElem") -> "GroupCut":
@@ -162,7 +179,7 @@ class ValueGroup:
         if self.rank == 0:
             return self.plus_inf() if side > 0 else self.minus_inf()
         if self.kind == WEIGHTED:
-            return GroupCut(self, "key", ((self.real_value(g), side),))
+            return GroupCut(self, "key", ((g.coords, side),))
         key = tuple((q, 0) for q in g.coords[:-1]) + ((g.coords[-1], side),)
         return GroupCut(self, "key", key)
 
@@ -246,10 +263,11 @@ class GroupCut(Ordered):
     nudges 0 except possibly on the last entry.  A full-length key with
     final nudge 0 is the position of an element; a final nudge of +/-1 on a
     key of length k is the upper/lower edge of the coset fixing the first k
-    coordinates (k=rank: immediately above/below a single element).
-    Weighted groups use a single (real value, nudge) entry.  Entrywise
-    comparison of keys, (coord, nudge) pairs lexicographically, decides the
-    order; "minf"/"pinf" sort below/above every key.
+    coordinates (k=rank: immediately above/below a single element), and
+    tuple comparison of keys decides the order.  A weighted position is
+    keyed by one (coordinates, nudge) entry of the element it rests on,
+    ordered by the element's size (ValueGroup._size), then by the nudge.
+    "minf"/"pinf" sort below/above every key.
     """
 
     __slots__ = ("group", "kind", "key")
@@ -264,22 +282,21 @@ class GroupCut(Ordered):
     def cmp(self, other: "GroupCut") -> int:
         if self.group != other.group:
             raise ValueError("positions in different groups")
-        order = {"minf": 0, "key": 1, "pinf": 2}
         if self.kind != other.kind:
-            return 1 if order[self.kind] > order[other.kind] else -1
+            return 1 if _KIND_ORDER[self.kind] > _KIND_ORDER[other.kind] \
+                else -1
         if self.kind != "key":
             return 0
-        for (q1, s1), (q2, s2) in zip(self.key, other.key):
-            c = _coord_cmp(q1, q2)
+        k1, k2 = self.key, other.key
+        if self.group.kind == WEIGHTED:
+            # one entry each: the elements decide, then the nudges
+            (c1, k1), (c2, k2) = k1[0], k2[0]
+            c = self.group._order(c1, c2)
             if c:
                 return c
-            if s1 != s2:
-                return 1 if s1 > s2 else -1
-        if len(self.key) != len(other.key):
-            # cannot happen: a shorter key ends in a nonzero nudge while the
-            # longer continues with nudge 0 at that index
-            raise AssertionError("prefix keys must differ in a nudge")
-        return 0
+        # a shorter lexicographic key ends in a nonzero nudge where the
+        # longer one continues with nudge 0, so no key is a prefix of another
+        return 0 if k1 == k2 else 1 if k1 > k2 else -1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupCut):
@@ -320,7 +337,7 @@ class GroupCut(Ordered):
             return {"kind": "plus_inf"}
         s = self.nudge()
         if self.group.kind == WEIGHTED:
-            base = {"value": str(self.key[0][0])}
+            base = {"value": str(_real(self))}
         else:
             qs = [str(q) for q, _ in self.key]
             if len(self.key) != self.group.rank:
@@ -344,12 +361,12 @@ class GroupCut(Ordered):
         return f"<({val}){mark}>"
 
 
-def _coord_cmp(q1, q2) -> int:
-    if isinstance(q1, QuadExt) or isinstance(q2, QuadExt):
-        return QuadExt.of(q1).cmp(QuadExt.of(q2))
-    if q1 == q2:
-        return 0
-    return 1 if q1 > q2 else -1
+_KIND_ORDER = {"minf": 0, "key": 1, "pinf": 2}
+
+
+def _real(pos: GroupCut) -> QuadExt:
+    """The real value of the element a weighted key position rests on."""
+    return pos.group.real_value(GroupElem(pos.group, pos.key[0][0]))
 
 
 @dataclass(frozen=True)
@@ -656,45 +673,15 @@ def _weighted_between(lo: GroupCut, hi: GroupCut) -> Optional[GroupElem]:
     if lo.kind == "minf" and hi.kind == "pinf":
         return group.zero()
     if lo.kind == "minf":
-        v = hi.key[0][0]
         # (floor - 1) * w0 < v regardless of the nudge
-        return along0(Fraction((v / w0).floor() - 1))
+        return along0(Fraction((_real(hi) / w0).floor() - 1))
     if hi.kind == "pinf":
-        v = lo.key[0][0]
-        return along0(Fraction((v / w0).floor() + 1))
-    (v1, s1), (v2, s2) = lo.key[0], hi.key[0]
-    if v1.cmp(v2) < 0:
-        return along0(rational_between(v1 / w0, v2 / w0))
-    if s1 == -1 and s2 == 1:
-        # just below / just above the same real value: hit it exactly
-        coords = _solve_weighted(group, v1)
-        return group.elem(coords) if coords is not None else None
-    return None
-
-
-def _solve_weighted(group: ValueGroup, v: QuadExt) -> Optional[tuple]:
-    """Coordinates q with sum q_i w_i == v, or None.
-
-    Solved exactly in the basis {1, sqrt(d)} of the weight field; only the
-    first two weights are used, the rest are set to 0.
-    """
-    ws = group.weights
-    if group.rank == 1 or len(ws) == 1:
-        q = v / ws[0]
-        return (q.as_fraction(),) if q.is_rational() else None
-    w1, w2 = ws[0], ws[1]
-    det = w1.a * w2.b - w2.a * w1.b
-    if det == 0:
-        # weights share the ratio of rational to irrational part; fall back
-        q = v / w1
-        if q.is_rational():
-            return (q.as_fraction(),) + (Q0,) * (group.rank - 1)
-        return None
-    q1 = (v.a * w2.b - w2.a * v.b) / det
-    q2 = (w1.a * v.b - v.a * w1.b) / det
-    if QuadExt.of(q1) * w1 + QuadExt.of(q2) * w2 != v:
-        return None
-    return (q1, q2) + (Q0,) * (group.rank - 2)
+        return along0(Fraction((_real(lo) / w0).floor() + 1))
+    (c1, s1), (c2, s2) = lo.key[0], hi.key[0]
+    if c1 != c2:
+        return along0(rational_between(_real(lo) / w0, _real(hi) / w0))
+    # just below / just above the same element: the element itself
+    return group.elem(c1) if s1 == -1 and s2 == 1 else None
 
 
 # -- adjoining one fresh lex coordinate at a position ---------------------------

@@ -20,6 +20,12 @@ division of the coefficients.
 normalises after every operator, through the public RatFun arithmetic.
 `parse_ratfun` carries one unnormalised pair instead and is checked against
 it for equal stored forms and equal errors.
+
+`tokenize_per_char`: the tokenizer that walks the text one character at a
+time, with the str methods isspace, isdecimal, isalpha and isalnum.
+`ratfun._tokenize` matches one compiled regular expression instead and is
+checked against it for equal tokens, positions and errors.  The per-token
+parser reads its tokens from it.
 """
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,7 +33,7 @@ from typing import Optional, Sequence
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import FieldDescriptor, lift
 from rplaces.places import PlaceValue
-from rplaces.ratfun import RatFun, RatFunSyntaxError, _homogeneous, _tokenize
+from rplaces.ratfun import RatFun, RatFunSyntaxError, _homogeneous
 
 
 def evaluate_per_term(p, assignment, target):
@@ -71,7 +77,7 @@ class _PerTokenParser:
 
     def __init__(self, text: str, field: FieldDescriptor,
                  variables: Sequence[str], names=None):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize_per_char(text)
         self.pos = 0
         self.field = field
         self.variables = tuple(variables)
@@ -220,3 +226,37 @@ class _PerTokenParser:
 def parse_per_token(text: str, field: FieldDescriptor,
                     variables: Sequence[str], names=None) -> RatFun:
     return _PerTokenParser(text, field, variables, names).parse()
+
+
+def tokenize_per_char(text: str) -> list:
+    """The tokens of `_tokenize`, read one character at a time."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            # exactly the digits int() reads; "²" passes isdigit() only
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(("num", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^(),":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise RatFunSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens

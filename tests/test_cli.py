@@ -513,7 +513,8 @@ class TestErrorCodes:
         assert ok(sess, "cmp cut C1 C2") == {"order": "LT"}
         assert ok(sess, "equiv C1 C2") == {"equivalent": False}
         assert ok(sess, "between cuts C1 C2")["field"] == "R"
-        # the two cuts differ only below residue scale
+        # the cuts are not equivalent, yet no y - c or 1/(y - c) over the
+        # searched anchors c separates them: the search family is too narrow
         assert code(sess, "witness separate C1 C2") == "search-failed"
 
 

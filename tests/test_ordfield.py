@@ -115,8 +115,9 @@ class TestArithmetic:
         assert (x.inverse() * x).cmp(1) == 0
 
     def test_pow_builds_no_unused_square(self, monkeypatch):
-        # one product per exponent bit set and one square per bit after
-        # the first, none after the last bit
+        # one product per exponent bit set after the lowest and one square
+        # per bit after the first, none after the last bit and none with
+        # the identity
         F = rank1_field()
         x = (1 + F.monomial(F.group.elem(1))) / 3
         calls = []
@@ -126,7 +127,7 @@ class TestArithmetic:
         for n in range(1, 21):
             calls.clear()
             got = x ** n
-            assert len(calls) == bin(n).count("1") + n.bit_length() - 1, n
+            assert len(calls) == bin(n).count("1") + n.bit_length() - 2, n
             want = x
             for _ in range(n - 1):
                 want = mul(want, x)

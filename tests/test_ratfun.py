@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratfun_reference import evaluate_per_term, parse_per_token
+from ratfun_reference import (evaluate_per_term, parse_per_token,
+                              tokenize_per_char)
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import (
     FieldDescriptor, FieldElement, FieldMismatchError, _sum, lift,
 )
 from rplaces.ratfun import (
     POLE, Poly, PoleMarker, RatFun, RatFunSyntaxError, _is_one, _poly,
-    format_poly, format_ratfun, parse_ratfun,
+    _tokenize, format_poly, format_ratfun, parse_ratfun,
 )
 from rplaces.valgroup import LEX, WEIGHTED, ValueGroup
 
@@ -827,6 +828,47 @@ class TestParseAgainstPerToken:
             assert_same_parse(parse_outcome(parse_ratfun, text, T, vs, names),
                               parse_outcome(parse_per_token, text, T, vs,
                                             names))
+
+
+# characters on both sides of each str-method class the tokenizer reads:
+# ASCII and other decimal digits (Arabic-Indic, Devanagari, fullwidth);
+# digits and numbers that are not decimal ("²", "½", "Ⅻ", "①"), word
+# characters that start no name; letters of the categories Lu, Ll, Lt, Lm
+# and Lo; spaces that isspace accepts ("\x1c", "\x85", no-break, em,
+# ideographic) and one it does not (zero-width); a combining mark, which
+# is no word character
+TOKEN_CHARS = list("09_ty+-*/^(),.$ \t\n") + [
+    "\u0663", "\u0967", "\uff10", "\u00b2", "\u00bd", "\u216b", "\u2460",
+    "\u00c9", "\u03bb", "\u01c5", "\u02b0", "\u4e2d", "\x1c", "\x85",
+    "\u00a0", "\u2003", "\u3000", "\u200b", "\u0301"]
+
+
+def token_outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except RatFunSyntaxError as exc:
+        return str(exc), exc.position
+
+
+class TestTokenize:
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(st.sampled_from(TOKEN_CHARS) | st.characters(),
+                   max_size=24))
+    def test_matches_the_per_character_reference(self, text):
+        assert token_outcome(_tokenize, text) == \
+            token_outcome(tokenize_per_char, text)
+
+    @pytest.mark.parametrize("text, error_at", [
+        ("y\u00b2", None), ("1\u00b2", 1), ("\u00bd + y", 0),
+        ("\u0663\u0967 + y", None), ("\u03bb\u00a0*\x1cy", None),
+        ("y\u200b", 1), ("\u0301", 0)])
+    def test_non_ascii_characters(self, text, error_at):
+        # non-ASCII digits are numbers and "y²" is one name, while "²" and
+        # "½" start no token, and a zero-width space or a lone combining
+        # mark is no space
+        got = token_outcome(_tokenize, text)
+        assert got == token_outcome(tokenize_per_char, text)
+        assert (got[1] if isinstance(got, tuple) else None) == error_at
 
 
 class TestBuildCost:

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rplaces.coeff import QuadExt
+from rplaces.ordfield import HahnSum, _least_key
 from rplaces.valgroup import (
     LOWER, UPPER, FinalSegment, GroupCut, InitialSegment, ValueGroup,
     element_in_interval, embed_element, embed_position, extend_at_position,
@@ -438,6 +440,72 @@ class TestElementInInterval:
         assert g is not None and g.cmp(v) == 0
         g = element_in_interval(W12.minus_inf(), W12.below(W12.elem(-5, 1)))
         assert g is not None and W12.below(W12.elem(-5, 1)).side_of(g) < 0
+
+
+# weighted groups of rank 1 and 2: a rational weight, a surd, a rational
+# and a surd, two surds, and weights over different denominators
+WEIGHTED_GROUPS = [
+    ValueGroup("weighted", 1, (QuadExt(Q(2, 3)),)),
+    ValueGroup("weighted", 1, (QuadExt.sqrt(3),)),
+    W12,
+    ValueGroup("weighted", 2, (QuadExt(1, 1, 2), QuadExt.sqrt(2))),
+    ValueGroup("weighted", 2, (QuadExt(Q(1, 2)), QuadExt(0, Q(2, 5), 5))),
+]
+
+COORD = st.builds(Q, st.integers(-8, 8), st.integers(1, 3))
+
+
+def by_value(pos):
+    """The reference order of a position: the infinities outside, a key
+    position by the real value of its element, then by its nudge."""
+    if pos.kind == "minf":
+        return (0,)
+    if pos.kind == "pinf":
+        return (2,)
+    (coords, nudge), = pos.key
+    return (1, pos.group.real_value(pos.group.elem(coords)), nudge)
+
+
+def ref_cmp(x, y) -> int:
+    return 0 if x == y else 1 if x > y else -1
+
+
+class TestWeightedOrder:
+    """Every weighted order (elements, positions, intervals, the support of
+    a sum and its least key) agrees with the order of real values, then of
+    nudges."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(WEIGHTED_GROUPS), st.data())
+    def test_orders_agree_with_real_values(self, group, data):
+        elems = data.draw(st.lists(
+            st.lists(COORD, min_size=group.rank, max_size=group.rank).map(
+                group.elem), min_size=1, max_size=4))
+        real = group.real_value
+        for g1, g2 in itertools.product(elems, repeat=2):
+            assert g1.cmp(g2) == real(g1).cmp(real(g2))
+        positions = [group.minus_inf(), group.plus_inf()] + [
+            p for g in elems
+            for p in (group.below(g), group.at(g), group.above(g))]
+        for p1, p2 in itertools.product(positions, repeat=2):
+            assert p1.cmp(p2) == ref_cmp(by_value(p1), by_value(p2))
+            if p1.cmp(p2) >= 0:
+                continue
+            e = element_in_interval(p1, p2)
+            if e is None:
+                # only an element's position and a nudge next to it hold
+                # no element between them
+                (_, v1, s1), (_, v2, s2) = by_value(p1), by_value(p2)
+                assert v1 == v2 and s2 - s1 == 1
+            else:
+                at = by_value(group.at(e))
+                assert by_value(p1) < at < by_value(p2)
+        h = HahnSum(group, {g.coords: 1 for g in elems})
+        values = [real(g) for g in h.support()]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert {g.coords for g in h.support()} == {g.coords for g in elems}
+        least = group.elem([Q(k, h._n) for k in _least_key(group, h._t)])
+        assert real(least) == min(values)
 
 
 class TestExtendAtPosition:
