@@ -1,32 +1,33 @@
 """Sparse polynomials and rational functions over one Hahn-sum field.
 
 A Poly's coefficients are FieldElement values; the variables are the
-transcendentals a place realizes.  A RatFun num/den is the one fraction
-level: inside it every coefficient of num and den has denominator 1, so it
-is a plain sum.  `RatFun(num, den)` multiplies coefficient denominators out
-of its input once; arithmetic on such pairs keeps them 1.  The pair is
-normalised by the rule FieldElement applies to its own num/den: both are
-divided by the leading monomial of den's leading coefficient, and 0 is
-stored as 0/1.  A parse carries one unnormalised pair of plain-sum term
-dicts and normalises it once (`_Parser`).  Fractions are never gcd-reduced.
-Substitution makes num and den two plain sums over one common denominator
-(`_homogeneous`); their quotient is the value, and a zero den sum is a pole.
-A place needs only their leading terms, read in integers from leading
-monomials (`_leading_sums`).
+transcendentals a place realizes.  A RatFun stores one fraction, a pair
+(num, den) of plain-sum term dicts {int exponent tuple: HahnSum}, and its
+operators and the parser build pairs by one set of pair rules.  Normal
+form is FieldElement's rule for its own num/den: den's leading coefficient
+(at its largest exponent tuple) leads with the monomial 1, and 0 is 0/1.
+Sums and products of normal pairs are normal, so only a swap (`/`,
+negative powers), the parser's final pair and the public `RatFun(num,
+den)` renormalise; the last also multiplies coefficient denominators out
+of its Poly input.  Fractions are never gcd-reduced.  `RatFun.num` and
+`.den` are Poly views with FieldElement coefficients over 1, built on
+first read.  Substitution makes num and den two plain sums over one common
+denominator (`_homogeneous`), whose quotient is the value; a zero den sum
+is a pole.  A place reads only their leading terms, in integers
+(`_leading_sums`).
 
-Invariant: a Poly's terms map int exponent tuples, one entry per variable,
-to nonzero elements of its field.  The public constructor checks and
-converts its input; arithmetic results keep the invariant by construction
-and are built through `_poly` without re-checking.  Polys, RatFuns and
+Invariant: term dicts map int exponent tuples, one entry per variable, to
+nonzero coefficients.  The public constructors check and convert their
+input; arithmetic results keep the invariant by construction and are built
+through `_poly` and `_ratfun` without re-checking.  Polys, RatFuns and
 their coefficients are never changed after they are built, so results may
 share terms (and whole operands) with their inputs.
 """
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from operator import add, mul
 from typing import Callable, Optional, Sequence, Union
 
@@ -55,9 +56,7 @@ POLE = PoleMarker()
 def _as_element(field: FieldDescriptor, c) -> FieldElement:
     """c in `field`: a constant, or an element of a declared subfield."""
     if isinstance(c, FieldElement):
-        if c.field is not field:
-            return lift(c, field)
-        return c
+        return c if c.field is field else lift(c, field)
     return field.const(c)
 
 
@@ -91,11 +90,9 @@ class Poly:
     @staticmethod
     def const(field: FieldDescriptor, variables: Sequence[str],
               c) -> "Poly":
-        variables = tuple(variables)
         c = _as_element(field, c)
-        if c.is_zero():
-            return _poly(field, variables, {})
-        return _poly(field, variables, {(0,) * len(variables): c})
+        return _poly(field, tuple(variables),
+                     {} if c.is_zero() else {(0,) * len(variables): c})
 
     @staticmethod
     def var(field: FieldDescriptor, variables: Sequence[str],
@@ -142,10 +139,6 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         a, b = self._pair(other)
-        if _is_one(a):
-            return b
-        if _is_one(b):
-            return a
         return _poly(self.field, self.variables,
                      _product_terms(a.terms, b.terms))
 
@@ -161,9 +154,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.field is other.field and \
-            self.variables == other.variables and \
-            self.terms.keys() == other.terms.keys() and \
-            all(self.terms[k] == other.terms[k] for k in self.terms)
+            self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("polynomials are not hashable")
@@ -202,9 +193,7 @@ def _product_terms(a: dict, b: dict) -> dict:
 def _is_one(p: Poly) -> bool:
     """p is the constant polynomial 1 with its coefficient stored as 1/1 (a
     canonical denominator with one term is 1, and so is a monic one-term
-    numerator), so a product with p leaves every representation as it is.
-    A one stored as (1 + t)/(1 + t), which only a Poly outside a RatFun can
-    hold, multiplies out as usual."""
+    numerator): the den that `format_ratfun` leaves out."""
     if len(p.terms) != 1:
         return False
     (key, c), = p.terms.items()
@@ -212,144 +201,181 @@ def _is_one(p: Poly) -> bool:
         and c.num._is_monic()
 
 
-def _cleared(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num and den times every distinct coefficient denominator: each
-    coefficient becomes its numerator times the other denominators, over 1.
-    Polys whose coefficients all have denominator 1 come back as they are."""
+# -- the pair rules on (num, den), two plain-sum term dicts ---------------------
+
+@lru_cache(maxsize=256)
+def _unit_terms(field: FieldDescriptor, n: int) -> dict:
+    """The term dict of 1 in n variables over `field`, one shared dict per
+    setting: the rules' `one`, the identity of products and the den of 0."""
+    return {(0,) * n: HahnSum.one(field.group)}
+
+
+def _mul(a: dict, b: dict, one: dict) -> dict:
+    return b if a is one else a if b is one else _product_terms(a, b)
+
+
+def _product(x: tuple, y: tuple, one: dict) -> tuple:
+    """x * y; 0 as 0/1."""
+    num = _mul(x[0], y[0], one)
+    return (num, _mul(x[1], y[1], one)) if num else ({}, one)
+
+
+def _pair_sum(x: tuple, y: tuple, one: dict) -> tuple:
+    """x + y over the den product; 0 as 0/1."""
+    num = _sum_terms(_mul(x[0], y[1], one), _mul(y[0], x[1], one))
+    return (num, _mul(x[1], y[1], one)) if num else ({}, one)
+
+
+def _negated(x: tuple) -> tuple:
+    return {k: -h for k, h in x[0].items()}, x[1]
+
+
+def _normal(x: tuple, one: dict) -> tuple:
+    """x divided on both sides by the leading monomial of den's leading
+    coefficient; 0 as 0/1.  Sums and products of normal pairs are normal
+    (their den leads with 1 * 1), so only a swap needs this rule."""
+    num, den = x
+    if not num:
+        return {}, one
+    lead = den[max(den)]
+    if lead._is_monic():
+        return x
+    f = lead._monic_factor()
+    return tuple({k: h._times_monomial(*f) for k, h in p.items()} for p in x)
+
+
+def _constant(field: FieldDescriptor, n: int, c) -> tuple:
+    """c = a/b as the pair (a, b) in n variables, which is normal: a
+    canonical b leads with 1, and one with one term is 1."""
+    c, one = _as_element(field, c), _unit_terms(field, n)
+    key = (0,) * n
+    return {key: c.num} if c.num._t else {}, \
+        one if len(c.den._t) == 1 else {key: c.den}
+
+
+def _quotient(x: tuple, y: tuple, one: dict) -> tuple:
+    """x / y: x times y swapped, renormalised."""
+    if not y[0]:
+        raise ZeroDivisionError("division by the zero function")
+    return _normal(_product(x, y[::-1], one), one)
+
+
+def _cleared(num: Poly, den: Poly) -> tuple[dict, dict]:
+    """The term dicts of num and den times every distinct coefficient
+    denominator: each numerator times the denominators other than its own."""
     dens = []
-    for p in (num, den):
-        for c in p.terms.values():
-            if len(c.den._t) != 1 and c.den not in dens:
-                dens.append(c.den)
-    if not dens:
-        return num, den
-    one = num.field.one().den
-
-    def clear(p: Poly) -> Poly:
-        out = {}
-        for k, c in p.terms.items():
-            h = c.num
-            for d in dens:
-                if d != c.den:
-                    h = h * d
-            out[k] = FieldElement(p.field, h, one)
-        return _poly(p.field, p.variables, out)
-    return clear(num), clear(den)
-
-
-def _times(p: Poly, f: tuple) -> Poly:
-    """p with every coefficient's numerator times the monomial that
-    `HahnSum._monic_factor` describes as f."""
-    return _poly(p.field, p.variables,
-                 {k: FieldElement(p.field, c.num._times_monomial(*f), c.den)
-                  for k, c in p.terms.items()})
+    for c in (*num.terms.values(), *den.terms.values()):
+        if len(c.den._t) != 1 and c.den not in dens:
+            dens.append(c.den)
+    return tuple({k: reduce(mul, (d for d in dens if d != c.den), c.num)
+                  for k, c in p.terms.items()} for p in (num, den))
 
 
 class RatFun:
-    """Quotient of two polynomials whose coefficients have denominator 1.
-    The leading coefficient of den (at its largest exponent tuple) has
-    leading monomial 1, and the zero function is 0/1.  Like Poly, a RatFun
-    is never changed after it is built."""
+    """Quotient of two polynomials, stored as the pair `_terms` = (num,
+    den) of plain-sum term dicts in the normal form of the module
+    docstring.  `num` and `den` are Poly views of the pair, built on first
+    read and kept; the RatFun itself never changes."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("field", "variables", "_terms", "_views")
 
     def __init__(self, num: Poly, den: Poly):
         num, den = num._pair(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Poly.const(num.field, num.variables, num.field.one())
-        else:
-            num, den = _cleared(num, den)
-            lead = den.terms[den.lead_key()].num
-            if not lead._is_monic():
-                f = lead._monic_factor()
-                num, den = _times(num, f), _times(den, f)
-        self.num = num
-        self.den = den
+        self.field, self.variables, self._views = \
+            num.field, num.variables, None
+        self._terms = _normal(_cleared(num, den), self._one())
 
     @staticmethod
     def const(field: FieldDescriptor, variables: Sequence[str],
               c) -> "RatFun":
-        """c = a/b as the constant function with num a and den b."""
-        return RatFun(Poly.const(field, variables, c),
-                      Poly.const(field, variables, field.one()))
+        return _ratfun(field, tuple(variables),
+                       _constant(field, len(variables), c))
 
     @staticmethod
     def var(field: FieldDescriptor, variables: Sequence[str],
             name: str) -> "RatFun":
-        return RatFun(Poly.var(field, variables, name),
-                      Poly.const(field, variables, field.one()))
+        variables = tuple(variables)
+        if name not in variables:
+            raise ValueError(f"unknown variable {name!r}")
+        key = tuple(int(v == name) for v in variables)
+        return _ratfun(field, variables, ({key: HahnSum.one(field.group)},
+                                          _unit_terms(field, len(key))))
 
-    @property
-    def field(self) -> FieldDescriptor:
-        return self.num.field
+    def _polys(self) -> tuple[Poly, Poly]:
+        if self._views is None:
+            field, one = self.field, HahnSum.one(self.field.group)
+            self._views = tuple(_poly(field, self.variables, {
+                k: FieldElement(field, h, one) for k, h in p.items()})
+                for p in self._terms)
+        return self._views
 
-    @property
-    def variables(self) -> tuple:
-        return self.num.variables
+    num = property(lambda self: self._polys()[0])
+    den = property(lambda self: self._polys()[1])
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._terms[0]
 
-    def _coerce(self, other) -> "RatFun":
-        if isinstance(other, RatFun):
-            return other
-        return RatFun.const(self.field, self.variables, other)
+    def _one(self) -> dict:
+        return _unit_terms(self.field, len(self.variables))
+
+    def _coerce(self, other) -> tuple:
+        """other's pair: a RatFun over the same setting, or a constant."""
+        if not isinstance(other, RatFun):
+            return _constant(self.field, len(self.variables), other)
+        if other.field is not self.field or \
+                other.variables != self.variables:
+            raise FieldMismatchError("polynomials over different settings")
+        return other._terms
+
+    def _apply(self, rule: Callable, x: tuple, y: tuple) -> "RatFun":
+        return _ratfun(self.field, self.variables, rule(x, y, self._one()))
 
     def __add__(self, other) -> "RatFun":
-        o = self._coerce(other)
-        return RatFun(self.num * o.den + o.num * self.den,
-                      self.den * o.den)
+        return self._apply(_pair_sum, self._terms, self._coerce(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
+        return _ratfun(self.field, self.variables, _negated(self._terms))
 
     def __sub__(self, other) -> "RatFun":
-        return self + (-self._coerce(other))
+        return self._apply(_pair_sum, self._terms,
+                           _negated(self._coerce(other)))
 
     def __rsub__(self, other) -> "RatFun":
         return -(self - other)
 
     def __mul__(self, other) -> "RatFun":
-        o = self._coerce(other)
-        return RatFun(self.num * o.num, self.den * o.den)
+        return self._apply(_product, self._terms, self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFun":
-        o = self._coerce(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        return RatFun(self.num * o.den, self.den * o.num)
+        return self._apply(_quotient, self._terms, self._coerce(other))
 
     def __rtruediv__(self, other) -> "RatFun":
-        return self._coerce(other) / self
+        return self._apply(_quotient, self._coerce(other), self._terms)
 
     def __pow__(self, n: int) -> "RatFun":
+        x, one = self._terms, self._one()
         if n < 0:
-            if self.num.is_zero():
+            if not x[0]:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFun(self.den, self.num) ** (-n)
-        return _power(self, n, lambda: RatFun.const(
-            self.field, self.variables, self.field.one()))
+            x, n = _normal(x[::-1], one), -n
+        return _ratfun(self.field, self.variables, _power(
+            x, n, lambda: (one, one), partial(_product, one=one)))
 
     def __eq__(self, other) -> bool:
         """Equality of functions: fractions are not reduced, so compare
-        by cross-multiplication.  The products' coefficients have
-        denominator 1, so equal coefficients store equal numerators."""
+        by cross-multiplication, as the num of a difference."""
         if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
+            other = RatFun.const(self.field, self.variables, other)
         elif not isinstance(other, RatFun):
             return NotImplemented
-        if self.field is not other.field or \
-                self.variables != other.variables:
-            return False
-        a, b = self.num * other.den, other.num * self.den
-        return a.terms.keys() == b.terms.keys() and \
-            all(c.num == b.terms[k].num for k, c in a.terms.items())
+        return self.field is other.field and \
+            self.variables == other.variables and (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("rational functions are not hashable")
@@ -375,6 +401,13 @@ class RatFun:
         return f"<ratfun {format_ratfun(self)}>"
 
 
+def _ratfun(field: FieldDescriptor, variables: tuple, x: tuple) -> RatFun:
+    """A RatFun from a pair already in normal form, taken as it is."""
+    f = object.__new__(RatFun)
+    f.field, f.variables, f._terms, f._views = field, variables, x, None
+    return f
+
+
 def _prepared(f: RatFun, values: list, target: FieldDescriptor) -> tuple:
     """(mask embedding f's group in target's, None when f is over target;
     the values lifted into target), or FieldMismatchError."""
@@ -394,20 +427,19 @@ def _tabled(table: list, e: int, times=mul):
 
 
 def _substitution(f: RatFun, mask: Optional[tuple], values: list,
-                  group) -> Callable[[Poly], HahnSum]:
+                  group) -> Callable[[dict], HahnSum]:
     """The map p -> sum c_k * prod n_i^k_i * d_i^(D_i - k_i), for p in
-    (f.num, f.den) at the lifted values n_i/d_i, D_i = max(deg_i num,
+    f's pair (num, den) at the lifted values n_i/d_i, D_i = max(deg_i num,
     deg_i den): p(values) * prod d_i^D_i (Knuth, TAOCP vol. 2, 4.6.4).
-    Coefficients have denominator 1 and enter as numerators; powers are
-    tabled on demand and a d_i of 1 is skipped."""
-    degrees = [max(e) for e in zip(*f.num.terms, *f.den.terms)]
+    Powers are tabled on demand and a d_i of 1 is skipped."""
+    degrees = [max(e) for e in zip(*f._terms[0], *f._terms[1])]
     tables = [([v.num], [v.den] if len(v.den._t) != 1 else None)
               for v in values]
 
-    def total(p: Poly) -> HahnSum:
+    def total(p: dict) -> HahnSum:
         out = HahnSum.zero(group)
-        for key, c in p.terms.items():
-            part = c.num if mask is None else c.num._embedded(group, mask)
+        for key, h in p.items():
+            part = h if mask is None else h._embedded(group, mask)
             for (ns, ds), e, top in zip(tables, key, degrees):
                 if e:
                     part = part * _tabled(ns, e)
@@ -423,7 +455,7 @@ def _homogeneous(f: RatFun, values: list,
     """(N, M), sums in `target`'s group with f(values) = N/M: num and den
     under `_substitution`.  Used by `RatFun.eval_at`."""
     total = _substitution(f, *_prepared(f, values, target), target.group)
-    return total(f.num), total(f.den)
+    return total(f._terms[0]), total(f._terms[1])
 
 
 def _leading_sums(f: RatFun, values: list, target: FieldDescriptor) -> tuple:
@@ -436,16 +468,16 @@ def _leading_sums(f: RatFun, values: list, target: FieldDescriptor) -> tuple:
     mask, values = _prepared(f, values, target)
     group, d = target.group, target.coeff_d
     times = partial(_mono_mul, d=d or 0)
-    scale = math.lcm(*{c.num._n for p in (f.num, f.den)
-                       for c in p.terms.values()}, *{v.num._n for v in values})
+    scale = math.lcm(*{h._n for p in f._terms for h in p.values()},
+                     *{v.num._n for v in values})
     # powers of lead(n_i), tabled on demand; None for a value 0
     tables = [[v.num._lead(scale, group)] if v.num._t else None
               for v in values]
     out, full = [], None
-    for p in (f.num, f.den):
+    for p in f._terms:
         cands = []
-        for exps, c in p.terms.items():
-            m = c.num._lead(scale, group, mask)
+        for exps, h in p.items():
+            m = h._lead(scale, group, mask)
             for table, e in zip(tables, exps):
                 if e and table is None:
                     break
@@ -490,13 +522,8 @@ def _coeff_text(c: FieldElement) -> str:
 
 
 def _monomial_text(variables: tuple, key: tuple) -> str:
-    parts = []
-    for v, e in zip(variables, key):
-        if e == 1:
-            parts.append(v)
-        elif e:
-            parts.append(f"{v}^{e}")
-    return "*".join(parts)
+    return "*".join(v if e == 1 else f"{v}^{e}"
+                    for v, e in zip(variables, key) if e)
 
 
 def format_poly(p: Poly) -> str:
@@ -506,20 +533,11 @@ def format_poly(p: Poly) -> str:
     for key in sorted(p.terms, reverse=True):
         mono = _monomial_text(p.variables, key)
         cs = _coeff_text(p.terms[key])
-        if not mono:
-            text = cs
-        elif cs == "1":
-            text = mono
-        elif cs == "-1":
-            text = f"-{mono}"
-        else:
-            text = f"{cs}*{mono}"
-        if not chunks:
-            chunks.append(text)
-        elif text.startswith("-"):
-            chunks.append(f" - {text[1:]}")
-        else:
-            chunks.append(f" + {text}")
+        text = cs if not mono else mono if cs == "1" else \
+            f"-{mono}" if cs == "-1" else f"{cs}*{mono}"
+        if chunks:
+            text = f" - {text[1:]}" if text.startswith("-") else f" + {text}"
+        chunks.append(text)
     return "".join(chunks)
 
 
@@ -538,34 +556,39 @@ class RatFunSyntaxError(ValueError):
         self.position = position
 
 
-# one match per token; whitespace matches nothing and is skipped.  The
-# classes are those of the str methods: \s is isspace, \d isdecimal (the
-# digits int() reads) and \w is isalnum or "_"
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>\w+)|(?P<op>[-+*/^(),])|\S")
-
-
 def _tokenize(text: str) -> list:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind, tok, at = m.lastgroup, m.group(), m.start()
-        # a name starts with a letter or "_"; "²" and "½" are word
-        # characters that start none
-        if kind is None or (kind == "name" and not (
-                tok[0].isalpha() or tok[0] == "_")):
-            raise RatFunSyntaxError(f"unexpected character {tok[0]!r}", at)
-        tokens.append((tok if kind == "op" else kind, tok, at))
-    tokens.append(("end", "", len(text)))
+    tokens, i, n = [], 0, len(text)
+    while i < n:
+        ch, j = text[i], i + 1
+        if ch.isspace():
+            pass
+        elif ch.isdecimal():
+            # exactly the digits int() reads; "²" passes isdigit() only
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(("num", text[i:j], i))
+        elif ch.isalpha() or ch == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+        elif ch in "+-*/^(),":
+            tokens.append((ch, ch, i))
+        else:
+            raise RatFunSyntaxError(f"unexpected character {ch!r}", i)
+        i = j
+    tokens.append(("end", "", n))
     return tokens
 
 
 class _Parser:
     """Recursive descent over +, -, *, /, ^ with the usual precedence;
     identifiers are the declared variables, `t` monomials, `sqrt` or bound
-    names.  Each rule returns an unnormalised pair (num, den) of term dicts
-    {int exponent tuple: HahnSum}, built by the RatFun operators' rules with
-    0 as 0/1, and `parse` normalises once.  Normalising a step would only
-    multiply num and den by a monomial c*t^g, constant in the variables,
-    which the final division by den's leading monomial removes.  So a
+    names.  Each rule returns a pair (num, den) of term dicts {int exponent
+    tuple: HahnSum}, built by the pair rules that the RatFun operators use,
+    with 0 as 0/1; a division swaps without `_normal`, and `parse`
+    normalises once.  Normalising a step would only multiply num and den
+    by a monomial c*t^g, constant in the variables, which the final
+    division by den's leading monomial removes.  So a
     shortcut may change a pair by such a common factor and by nothing else
     (fractions are not gcd-reduced): an integer literal is its stored sum,
     and dividing by a one-term constant multiplies num by its inverse."""
@@ -578,7 +601,7 @@ class _Parser:
         self.variables = tuple(variables)
         self.names = names or {}
         self.key = (0,) * len(self.variables)
-        self.one = {self.key: HahnSum.one(field.group)}
+        self.one = _unit_terms(field, len(self.variables))
 
     def peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -596,38 +619,24 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise RatFunSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        field, one = self.field, self.field.one().den
-        return RatFun(*(_poly(field, self.variables,
-                              {k: FieldElement(field, h, one)
-                               for k, h in p.items()}) for p in pair))
-
-    def times(self, a: dict, b: dict) -> dict:
-        """a * b; the dict `one` multiplies as the identity."""
-        if a is self.one:
-            return b
-        return a if b is self.one else _product_terms(a, b)
-
-    def product(self, x: tuple, y: tuple) -> tuple:
-        num = self.times(x[0], y[0])
-        return (num, self.times(x[1], y[1])) if num else (num, self.one)
+        return _ratfun(self.field, self.variables, _normal(pair, self.one))
 
     def const(self, h: HahnSum) -> tuple:
         return {self.key: h} if h._t else {}, self.one
 
     def expr(self) -> tuple:
-        num, den = {}, self.one
-        op = "+"
-        if self.peek()[0] == "-":
+        negate = self.peek()[0] == "-"
+        if negate:
+            self.take()
+        out = self.term()
+        if negate:
+            out = _negated(out)
+        while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-        while True:
-            n2, d2 = self.term()
-            if op == "-":
-                n2 = {k: -h for k, h in n2.items()}
-            num = _sum_terms(self.times(num, d2), self.times(n2, den))
-            den = self.times(den, d2) if num else self.one
-            if self.peek()[0] not in ("+", "-"):
-                return num, den
-            op = self.take()[0]
+            rhs = self.term()
+            out = _pair_sum(out, rhs if op == "+" else _negated(rhs),
+                            self.one)
+        return out
 
     def term(self) -> tuple:
         out = self.power()
@@ -635,7 +644,7 @@ class _Parser:
             op = self.take()[0]
             num, den = self.power()
             if op == "*":
-                out = self.product(out, (num, den))
+                out = _product(out, (num, den), self.one)
             elif not num:
                 raise RatFunSyntaxError("division by zero", self.peek()[2])
             elif den is self.one and num.keys() == {self.key} and \
@@ -644,13 +653,11 @@ class _Parser:
                 out = ({k: h._times_monomial(*f) for k, h in out[0].items()},
                        out[1])
             else:
-                out = self.product(out, (den, num))
+                out = _product(out, (den, num), self.one)
         return out
 
     def power(self) -> tuple:
-        kind, name, _ = self.peek()
-        if kind == "name" and name == "t" and \
-                name not in self.variables and \
+        if self.peek()[1] == "t" and "t" not in self.variables and \
                 self.tokens[self.pos + 1][0] == "^":
             return self.hahn_monomial()
         base = self.atom()
@@ -662,7 +669,8 @@ class _Parser:
             if not base[0]:
                 raise RatFunSyntaxError("division by zero", at)
             base, n = base[::-1], -n
-        return _power(base, n, lambda: (self.one, self.one), self.product)
+        return _power(base, n, lambda: (self.one, self.one),
+                      partial(_product, one=self.one))
 
     def atom(self) -> tuple:
         kind, text, at = self.take()
@@ -681,7 +689,7 @@ class _Parser:
                 self.take("(")
                 d = int(self.take("num")[1])
                 self.take(")")
-                return self.const(self.field.const(QuadExt(0, 1, d)).num)
+                return _constant(self.field, len(self.key), QuadExt(0, 1, d))
             if text == "t":
                 rank = self.field.group.rank
                 if not rank:
@@ -689,11 +697,7 @@ class _Parser:
                         "exponent rank 1 does not match the field", at)
                 return self.monomial([1] + [0] * (rank - 1))
             if text in self.names:
-                val = self.names[text]
-                if val.field is not self.field:
-                    val = lift(val, self.field)
-                den = self.one if len(val.den._t) == 1 else {self.key: val.den}
-                return self.const(val.num)[0], den
+                return _constant(self.field, len(self.key), self.names[text])
             raise RatFunSyntaxError(f"unknown name {text!r}", at)
         raise RatFunSyntaxError(f"unexpected token {text!r}", at)
 
@@ -702,19 +706,18 @@ class _Parser:
         return self.const(HahnSum.one(group).shift(group.elem(*coords)))
 
     def hahn_monomial(self) -> tuple:
-        self.take("name")
-        self.take("^")
-        self.take("(")
-        if self.peek()[0] == "(":
+        for kind in ("name", "^", "("):
+            self.take(kind)
+        nested = self.peek()[0] == "("
+        if nested:
             self.take()
-            coords = [self.fraction()]
-            while self.peek()[0] == ",":
-                self.take()
-                coords.append(self.fraction())
-            self.take(")")
-        else:
-            coords = [self.fraction()]
+        coords = [self.fraction()]
+        while nested and self.peek()[0] == ",":
+            self.take()
+            coords.append(self.fraction())
         self.take(")")
+        if nested:
+            self.take(")")
         if len(coords) != self.field.group.rank:
             raise RatFunSyntaxError(
                 f"exponent rank {len(coords)} does not match the field",
@@ -722,18 +725,14 @@ class _Parser:
         return self.monomial(coords)
 
     def fraction(self) -> Fraction:
-        sign = 1
-        if self.peek()[0] == "-":
-            self.take()
-            sign = -1
-        top = int(self.take("num")[1])
-        if self.peek()[0] == "/":
-            self.take()
-            _, text, at = self.take("num")
-            if int(text) == 0:
-                raise RatFunSyntaxError("zero denominator in an exponent", at)
-            return Fraction(sign * top, int(text))
-        return Fraction(sign * top)
+        top = self.signed_int()
+        if self.peek()[0] != "/":
+            return Fraction(top)
+        self.take()
+        _, text, at = self.take("num")
+        if int(text) == 0:
+            raise RatFunSyntaxError("zero denominator in an exponent", at)
+        return Fraction(top, int(text))
 
     def signed_int(self) -> int:
         sign = 1

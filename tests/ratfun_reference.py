@@ -21,12 +21,13 @@ normalises after every operator, through the public RatFun arithmetic.
 `parse_ratfun` carries one unnormalised pair instead and is checked against
 it for equal stored forms and equal errors.
 
-`tokenize_per_char`: the tokenizer that walks the text one character at a
-time, with the str methods isspace, isdecimal, isalpha and isalnum.
-`ratfun._tokenize` matches one compiled regular expression instead and is
+`tokenize_by_regex`: the tokenizer that matches one compiled regular
+expression.  `ratfun._tokenize` walks the text one character at a time,
+with the str methods isspace, isdecimal, isalpha and isalnum, and is
 checked against it for equal tokens, positions and errors.  The per-token
 parser reads its tokens from it.
 """
+import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -77,7 +78,7 @@ class _PerTokenParser:
 
     def __init__(self, text: str, field: FieldDescriptor,
                  variables: Sequence[str], names=None):
-        self.tokens = tokenize_per_char(text)
+        self.tokens = tokenize_by_regex(text)
         self.pos = 0
         self.field = field
         self.variables = tuple(variables)
@@ -228,35 +229,22 @@ def parse_per_token(text: str, field: FieldDescriptor,
     return _PerTokenParser(text, field, variables, names).parse()
 
 
-def tokenize_per_char(text: str) -> list:
-    """The tokens of `_tokenize`, read one character at a time."""
+# one match per token; whitespace matches nothing and is skipped.  The
+# classes are those of the str methods: \s is isspace, \d isdecimal (the
+# digits int() reads) and \w is isalnum or "_"
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>\w+)|(?P<op>[-+*/^(),])|\S")
+
+
+def tokenize_by_regex(text: str) -> list:
+    """The tokens of `_tokenize`, read by one regular expression."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            # exactly the digits int() reads; "²" passes isdigit() only
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise RatFunSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, tok, at = m.lastgroup, m.group(), m.start()
+        # a name starts with a letter or "_"; "²" and "½" are word
+        # characters that start none
+        if kind is None or (kind == "name" and not (
+                tok[0].isalpha() or tok[0] == "_")):
+            raise RatFunSyntaxError(f"unexpected character {tok[0]!r}", at)
+        tokens.append((tok if kind == "op" else kind, tok, at))
+    tokens.append(("end", "", len(text)))
     return tokens

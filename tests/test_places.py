@@ -652,8 +652,8 @@ class TestQuotientRealizations:
 
 
 def read_leading(f, values, F) -> tuple:
-    """(`_leading_sums(f, values, F)`, the list of those of f.num and f.den
-    whose sums it built)."""
+    """(`_leading_sums(f, values, F)`, the list of those of the stored term
+    dicts of f's num and den whose sums it built)."""
     built = []
 
     def substitution(*args):
@@ -685,7 +685,7 @@ class TestLeadingSums:
         n = math.lcm(*(c.num._n for p in (f.num, f.den)
                        for c in p.terms.values()),
                      *(v.num._n for v in lifted),
-                     *(w._n for p, w in zip((f.num, f.den), want)
+                     *(w._n for p, w in zip(f._terms, want)
                        if any(p is b for b in built)))
         for g, w in zip(got, want):
             assert (g is None) == w.is_zero()
@@ -794,7 +794,7 @@ class TestIntegerFinish:
         for f in fs:
             (top, bottom), built = read_leading(f, values, F)
             if len(built) == 1:
-                seen.add("only N" if built[0] is f.num else "only M")
+                seen.add("only N" if built[0] is f._terms[0] else "only M")
             scale = math.lcm(*(c.num._n for p in (f.num, f.den)
                                for c in p.terms.values()),
                              *(v.num._n for v in values))

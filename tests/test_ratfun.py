@@ -2,16 +2,19 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratfun_reference import (evaluate_per_term, parse_per_token,
-                              tokenize_per_char)
+                              tokenize_by_regex)
+import rplaces.ratfun as ratfun_module
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import (
-    FieldDescriptor, FieldElement, FieldMismatchError, _sum, lift,
+    FieldDescriptor, FieldElement, FieldMismatchError, HahnSum, _sum, lift,
 )
 from rplaces.ratfun import (
     POLE, Poly, PoleMarker, RatFun, RatFunSyntaxError, _is_one, _poly,
@@ -561,9 +564,19 @@ class TestTrustedResults:
         assert_same_ratfun(f + g, ref_rat_add(fr, gr))
         assert_same_ratfun(f - g, ref_rat_add(fr, neg_g))
         assert_same_ratfun(f * g, ref_rat_mul(fr, gr))
+        # a swap renormalises: `/` either way round, negative powers, and
+        # the final pair of a parse, here of the printed forms
+        assert_same_ratfun(parse_ratfun(format_ratfun(f), F, vs), fr)
         if not g.is_zero():
-            assert_same_ratfun(f / g, ref_ratfun(ref_mul(fr[0], gr[1]),
-                                                 ref_mul(fr[1], gr[0])))
+            quotient = ref_ratfun(ref_mul(fr[0], gr[1]),
+                                  ref_mul(fr[1], gr[0]))
+            assert_same_ratfun(f / g, quotient)
+            assert_same_ratfun(parse_ratfun(
+                f"({format_ratfun(f)})/({format_ratfun(g)})", F, vs),
+                quotient)
+            assert_same_ratfun(3 / g, ref_ratfun(
+                ref_mul(ref_const(F, vs, 3), gr[1]), gr[0]))
+            assert_same_ratfun(g ** -1, ref_ratfun(gr[1], gr[0]))
         if n >= 0 or not f.is_zero():
             assert_same_ratfun(f ** n, ref_rat_pow(fr, n))
         one = ref_const(F, vs, 1)
@@ -603,12 +616,14 @@ class TestTrustedResults:
         for c in candidates:
             den = Poly.const(F, vs, c)
             f = RatFun(num, den)
-            # RatFun keeps a denominator already in normal form as it is
-            # and rebuilds every other one; a one stored as s/s gives
-            # y*s over s, with no s/s left in any coefficient
+            # RatFun stores the sums of a pair already in normal form as
+            # they are and rebuilds every other pair; a one stored as s/s
+            # gives y*s over s, with no s/s left in any coefficient
             normal = len(c.den.terms) == 1 and c.val().sign() == 0 and \
                 c.leading_coeff() == QuadExt(1)
-            assert (f.den is den) == normal
+            kept = f._terms[0][(1,)] is num.terms[(1,)].num and \
+                f._terms[1][(0,)] is c.num
+            assert kept == normal
             assert_same_ratfun(f, ref_ratfun(num, den))
             if (c - F.one()).is_zero():
                 assert f == RatFun.var(F, vs, "y")
@@ -620,8 +635,8 @@ class TestTrustedResults:
         F = field_of(kind)
         p = poly_in(F, rng, vs)
         x = coeff_in(F, rng)
-        # a unit stored as 1/1 returns the other factor as it is; one
-        # stored as x/x multiplies into its terms, as it always did
+        # a unit stored as 1/1 leaves every coefficient's stored form as it
+        # is; one stored as x/x multiplies into its terms
         for one, plain in ((Poly.const(F, vs, 1), True),
                            (ref_const(F, vs, F.const(1)), True),
                            (Poly.const(F, vs, x / x), len(x.num.terms) == 1
@@ -854,9 +869,9 @@ class TestTokenize:
     @settings(max_examples=60, deadline=None)
     @given(st.text(st.sampled_from(TOKEN_CHARS) | st.characters(),
                    max_size=24))
-    def test_matches_the_per_character_reference(self, text):
+    def test_matches_the_regular_expression_reference(self, text):
         assert token_outcome(_tokenize, text) == \
-            token_outcome(tokenize_per_char, text)
+            token_outcome(tokenize_by_regex, text)
 
     @pytest.mark.parametrize("text, error_at", [
         ("y\u00b2", None), ("1\u00b2", 1), ("\u00bd + y", 0),
@@ -867,7 +882,7 @@ class TestTokenize:
         # "½" start no token, and a zero-width space or a lone combining
         # mark is no space
         got = token_outcome(_tokenize, text)
-        assert got == token_outcome(tokenize_per_char, text)
+        assert got == token_outcome(tokenize_by_regex, text)
         assert (got[1] if isinstance(got, tuple) else None) == error_at
 
 
@@ -899,9 +914,9 @@ class TestBuildCost:
     def test_parse_runs_no_subtraction_and_shares_the_unit(self,
                                                            monkeypatch):
         R = rational_field()
-        counts = {"sub": 0, "const": 0, "ratfun": 0}
-        sub, const, init = FieldElement.__sub__, FieldDescriptor.const, \
-            RatFun.__init__
+        counts = {"sub": 0, "const": 0, "normal": 0, "ratfun": 0}
+        sub, const, normal, init = FieldElement.__sub__, \
+            FieldDescriptor.const, ratfun_module._normal, RatFun.__init__
 
         def counting_sub(self, other):
             counts["sub"] += 1
@@ -911,28 +926,76 @@ class TestBuildCost:
             counts["const"] += 1
             return const(self, c)
 
+        def counting_normal(x, one):
+            counts["normal"] += 1
+            return normal(x, one)
+
         def counting_init(self, num, den):
             counts["ratfun"] += 1
             init(self, num, den)
 
         monkeypatch.setattr(FieldElement, "__sub__", counting_sub)
         monkeypatch.setattr(FieldDescriptor, "const", counting_const)
+        monkeypatch.setattr(ratfun_module, "_normal", counting_normal)
         monkeypatch.setattr(RatFun, "__init__", counting_init)
         text = "(3/2 + 5/3*y)/(2 + y)"
         f = parse_ratfun(text, R, ("y",))
-        # the five integer literals are stored sums, not field constants:
-        # the one constant built is the unit, on first use; the pair is
-        # normalised once, by the one RatFun built
-        assert counts == {"sub": 0, "const": 1, "ratfun": 1}
-        counts.update(const=0, ratfun=0)
+        # the five integer literals are stored sums, not field constants,
+        # and the pair is a pair of sums, so no field constant is built;
+        # the pair is normalised once, and never by the public constructor
+        assert counts == {"sub": 0, "const": 0, "normal": 1, "ratfun": 0}
         assert parse_ratfun(text, R, ("y",)) is not f
-        assert counts == {"sub": 0, "const": 0, "ratfun": 1}
+        assert counts == {"sub": 0, "const": 0, "normal": 2, "ratfun": 0}
+        # the unit dict of a setting is shared by every parse
+        assert parse_ratfun("y", R, ("y",))._terms[1] is \
+            parse_ratfun("7*y", R, ("y",))._terms[1]
         one = R.one()
         assert R.one() is one and R.zero() is R.zero()
-        assert counts["const"] == 1
+        assert counts["const"] == 2
         monkeypatch.undo()
         assert one == R.const(1) and R.zero() == R.const(0)
         assert format_ratfun(f) == "(5/3*y + 3/2)/(y + 2)"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), FIELD_KINDS, VARIABLES)
+    def test_only_a_swap_renormalises(self, seed, kind, vs):
+        """Sums and products of normal pairs are normal: `+`, `-`, `*` and
+        positive powers neither clear denominators nor divide by a leading
+        monomial.  `/` and negative powers divide at most once, when the
+        new den does not lead with 1."""
+        rng = random.Random(seed)
+        F = field_of(kind)
+        f, g = [RatFun(poly_in(F, rng, vs, most=2),
+                       poly_in(F, rng, vs, allow_zero=False, most=2))
+                for _ in range(2)]
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+        unswapped = (lambda: f + g, lambda: f - g, lambda: f * g,
+                     lambda: -f, lambda: 2 * f - Q(1, 3), lambda: f ** 3,
+                     lambda: g ** 0)
+        with mock.patch.object(HahnSum, "_monic_factor",
+                               counted("monic", HahnSum._monic_factor)), \
+                mock.patch.object(ratfun_module, "_cleared",
+                                  counted("cleared", ratfun_module._cleared)):
+            for op in unswapped:
+                op()
+                assert calls == {}
+            if g.is_zero():
+                return
+            # the new den leads with g's num's leading coefficient; a zero
+            # quotient is 0/1 at once
+            lead = g._terms[0][max(g._terms[0])]
+            for op, zero in ((lambda: f / g, f.is_zero()),
+                             (lambda: 1 / g, False), (lambda: g ** -2, False)):
+                calls.clear()
+                op()
+                assert calls["cleared"] == 0
+                assert calls["monic"] == (not lead._is_monic() and not zero)
 
     def test_field_constants_are_built_on_first_use(self, monkeypatch):
         built = []
