@@ -22,10 +22,11 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .coeff import QuadExt
-from .valgroup import LOWER, UPPER, LEX, WEIGHTED, GroupElem, ValueGroup
+from .valgroup import LOWER, UPPER, LEX, WEIGHTED, ValueGroup
 from .ordfield import (DEFAULT_MAX_STEPS, INF, FieldDescriptor, FieldElement,
                        _least_key, adjoin_infinitesimal, lift, obstruction)
-from .ratfun import Poly, RatFun, _as_element, _leading_sums, format_ratfun
+from .ratfun import (RatFun, _as_element, _leading_sums, _normal, _ratfun,
+                     _unit_terms, format_ratfun)
 from .cuts import (Cut, _between, _order, _ordered_equivalent,
                    cut_filler_analyzed)
 
@@ -211,38 +212,27 @@ def place_from_cut(C: Cut, var: str = "y",
 
 # -- evaluation ------------------------------------------------------------------
 
-def _min_val(p: Poly) -> GroupElem:
-    return min(c.val() for c in p.terms.values())
-
-
-def _residue_poly(p: Poly, shift: GroupElem, k: FieldDescriptor) -> Poly:
-    """The residue of p * t^(-shift), where shift is the least value of a
-    coefficient: each coefficient of value shift gives its leading
-    coefficient, and every other one vanishes."""
-    return Poly(k, p.variables, {key: k.const(c.leading_coeff())
-                                 for key, c in p.terms.items()
-                                 if c.val().cmp(shift) == 0})
-
-
 def _gauss_value(F: FieldDescriptor, k: FieldDescriptor, var: str,
                  f: RatFun) -> PlaceValue:
+    """num and den times t^(-v), v the least value of a coefficient, keep
+    the leading coefficients of value v; every other one vanishes."""
     if tuple(f.variables) != (var,):
         raise ValueError(f"expected a function of {var!r} alone")
     # an embedding keeps the order of valuations and leading coefficients
     if f.field is not F and f.field.embedding_mask_into(F) is None:
         raise ValueError(f"{f.field.name} does not embed in {F.name}")
-    num, den = f.num, f.den
-    if num.is_zero():
+    if f.is_zero():
         return PlaceValue(RatFun.const(k, (var,), 0))
-    vn = _min_val(num)
-    vd = _min_val(den)
+    leads = [{key: h.leading() for key, h in p.items()} for p in f._terms]
+    vn, vd = (min(g for g, _ in p.values()) for p in leads)
     c = vn.cmp(vd)
     if c > 0:
         return PlaceValue(RatFun.const(k, (var,), 0))
     if c < 0:
         return PlaceValue.infinite()
-    return PlaceValue(RatFun(_residue_poly(num, vn, k),
-                             _residue_poly(den, vd, k)))
+    pair = tuple({key: k.const(a).num for key, (g, a) in p.items()
+                  if g.cmp(vn) == 0} for p in leads)
+    return PlaceValue(_ratfun(k, (var,), _normal(pair, _unit_terms(k, 1))))
 
 
 def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
@@ -425,6 +415,10 @@ def gauss_extension(F: FieldDescriptor, var: str = "y",
                                         ValueGroup(LEX, 0))
     if residue_field.group.rank != 0:
         raise ValueError("the residue field must have group rank 0")
+    # it holds the leading coefficients of F's elements
+    if F.coeff_d is not None and F.coeff_d != residue_field.coeff_d:
+        raise ValueError(f"the residue field {residue_field.name} lacks the "
+                         f"coefficients of {F.name}")
     return RPlace("gauss", F, (var,), residue_field,
                   provenance="gauss")
 
@@ -437,7 +431,8 @@ def constant_ext_embed(zeta: RPlace, F: FieldDescriptor) -> RPlace:
         raise ValueError("zeta must be a realized one-variable place")
     if zeta.base.group.rank != 0:
         raise ValueError("zeta must live over a constant base field")
-    return RPlace("composed", F, zeta.variables, zeta.base,
+    g = gauss_extension(F, zeta.variables[0], zeta.base)
+    return RPlace("composed", F, g.variables, g.field,
                   inner=zeta, provenance="composed")
 
 

@@ -1,17 +1,19 @@
-"""Sparse polynomials and rational functions over one Hahn-sum field.
+"""Sparse rational functions over one Hahn-sum field.
 
-A Poly's coefficients are FieldElement values; the variables are the
-transcendentals a place realizes.  A RatFun stores one fraction, a pair
-(num, den) of plain-sum term dicts {int exponent tuple: HahnSum}, and its
-operators and the parser build pairs by one set of pair rules.  Normal
-form is FieldElement's rule for its own num/den: den's leading coefficient
-(at its largest exponent tuple) leads with the monomial 1, and 0 is 0/1.
-Sums and products of normal pairs are normal, so only a swap (`/`,
-negative powers), the parser's final pair and the public `RatFun(num,
-den)` renormalise; the last also multiplies coefficient denominators out
-of its Poly input.  Fractions are never gcd-reduced.  `RatFun.num` and
-`.den` are Poly views with FieldElement coefficients over 1, built on
-first read.  Substitution makes num and den two plain sums over one common
+A RatFun stores one fraction, a pair (num, den) of plain-sum term dicts
+{int exponent tuple: HahnSum}; the variables are the transcendentals a
+place realizes.  Its operators and the parser build pairs by one set of
+pair rules.  Normal form is FieldElement's rule for its own num/den: den's
+leading coefficient (at its largest exponent tuple) leads with the monomial
+1, and 0 is 0/1.  Sums and products of normal pairs are normal, so only a
+swap (`/`, negative powers), the parser's final pair and the public
+`RatFun(num, den)` renormalise.  Fractions are never gcd-reduced.
+
+A Poly, a map from exponent tuples to FieldElement coefficients, is only
+the validated input of `RatFun(num, den)`, which multiplies coefficient
+denominators out of it (`_cleared`), and the read view `RatFun.num` and
+`.den`, with coefficients over 1, built on first read; it has no
+arithmetic.  Substitution makes num and den two plain sums over one common
 denominator (`_homogeneous`), whose quotient is the value; a zero den sum
 is a pole.  A place reads only their leading terms, in integers
 (`_leading_sums`).
@@ -19,9 +21,9 @@ is a pole.  A place reads only their leading terms, in integers
 Invariant: term dicts map int exponent tuples, one entry per variable, to
 nonzero coefficients.  The public constructors check and convert their
 input; arithmetic results keep the invariant by construction and are built
-through `_poly` and `_ratfun` without re-checking.  Polys, RatFuns and
-their coefficients are never changed after they are built, so results may
-share terms (and whole operands) with their inputs.
+through `_ratfun` without re-checking.  Polys, RatFuns and their
+coefficients are never changed after they are built, so results may share
+terms (and whole operands) with their inputs.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .coeff import QuadExt, _power
 from .ordfield import (FieldDescriptor, FieldElement, FieldMismatchError,
-                       HahnSum, _least_key, _mono_mul, lift)
+                       HahnSum, _format_sum, _least_key, _mono_mul, lift)
 
 
 class PoleMarker:
@@ -61,13 +63,14 @@ def _as_element(field: FieldDescriptor, c) -> FieldElement:
 
 
 class Poly:
-    """Finite map from exponent tuples to nonzero coefficients.
+    """Finite map from exponent tuples to nonzero coefficients: the
+    validated input of `RatFun(num, den)` and the type of its read views
+    `num` and `den`, with no arithmetic.
 
     `terms` maps int tuples of length len(variables), all entries >= 0, to
     nonzero elements of `field`.  `Poly(...)` validates and converts its
-    input; the arithmetic below builds its results through `_poly`, which
-    takes terms already in this form.  A Poly is never changed after it is
-    built, so results may share terms, or be one of the operands."""
+    input; `_poly` builds a view from terms already in this form.  A Poly
+    is never changed after it is built."""
 
     __slots__ = ("field", "variables", "terms")
 
@@ -87,68 +90,8 @@ class Poly:
                 clean[key] = clean[key] + c if key in clean else c
         self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
 
-    @staticmethod
-    def const(field: FieldDescriptor, variables: Sequence[str],
-              c) -> "Poly":
-        c = _as_element(field, c)
-        return _poly(field, tuple(variables),
-                     {} if c.is_zero() else {(0,) * len(variables): c})
-
-    @staticmethod
-    def var(field: FieldDescriptor, variables: Sequence[str],
-            name: str) -> "Poly":
-        variables = tuple(variables)
-        if name not in variables:
-            raise ValueError(f"unknown variable {name!r}")
-        key = tuple(1 if v == name else 0 for v in variables)
-        return _poly(field, variables, {key: field.one()})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def lead_key(self) -> tuple:
-        """Largest exponent tuple in lexicographic order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms)
-
-    def _pair(self, other) -> tuple["Poly", "Poly"]:
-        if not isinstance(other, Poly):
-            other = Poly.const(self.field, self.variables, other)
-        if other.field is not self.field or \
-                other.variables != self.variables:
-            raise FieldMismatchError("polynomials over different settings")
-        return self, other
-
-    def __add__(self, other) -> "Poly":
-        a, b = self._pair(other)
-        return _poly(self.field, self.variables, _sum_terms(a.terms, b.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return _poly(self.field, self.variables,
-                     {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Poly":
-        a, b = self._pair(other)
-        return a + (-b)
-
-    def __rsub__(self, other) -> "Poly":
-        return -(self - other)
-
-    def __mul__(self, other) -> "Poly":
-        a, b = self._pair(other)
-        return _poly(self.field, self.variables,
-                     _product_terms(a.terms, b.terms))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return _power(self, n, lambda: Poly.const(
-            self.field, self.variables, self.field.one()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -172,7 +115,7 @@ def _poly(field: FieldDescriptor, variables: tuple, terms: dict) -> Poly:
 
 
 def _sum_terms(a: dict, b: dict) -> dict:
-    """a + b for {exponent tuple: FieldElement or HahnSum} term dicts."""
+    """a + b for {exponent tuple: HahnSum} term dicts."""
     out = dict(a)
     for k, c in b.items():
         out[k] = out[k] + c if k in out else c
@@ -188,17 +131,6 @@ def _product_terms(a: dict, b: dict) -> dict:
             c = c1 * c2
             out[k] = out[k] + c if k in out else c
     return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _is_one(p: Poly) -> bool:
-    """p is the constant polynomial 1 with its coefficient stored as 1/1 (a
-    canonical denominator with one term is 1, and so is a monic one-term
-    numerator): the den that `format_ratfun` leaves out."""
-    if len(p.terms) != 1:
-        return False
-    (key, c), = p.terms.items()
-    return not any(key) and len(c.den._t) == 1 and len(c.num._t) == 1 \
-        and c.num._is_monic()
 
 
 # -- the pair rules on (num, den), two plain-sum term dicts ---------------------
@@ -280,7 +212,8 @@ class RatFun:
     __slots__ = ("field", "variables", "_terms", "_views")
 
     def __init__(self, num: Poly, den: Poly):
-        num, den = num._pair(den)
+        if den.field is not num.field or den.variables != num.variables:
+            raise FieldMismatchError("polynomials over different settings")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.field, self.variables, self._views = \
@@ -369,13 +302,17 @@ class RatFun:
 
     def __eq__(self, other) -> bool:
         """Equality of functions: fractions are not reduced, so compare
-        by cross-multiplication, as the num of a difference."""
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.const(self.field, self.variables, other)
-        elif not isinstance(other, RatFun):
+        by cross-multiplication, as the num of a difference.  A constant
+        is read as the operators read it; a function over another setting,
+        an element of an unrelated field or a number outside the field is
+        unequal."""
+        if not isinstance(other, (RatFun, FieldElement, QuadExt, int,
+                                  Fraction)):
             return NotImplemented
-        return self.field is other.field and \
-            self.variables == other.variables and (self - other).is_zero()
+        try:
+            return (self - other).is_zero()
+        except (FieldMismatchError, ValueError):
+            return False
 
     def __hash__(self):
         raise TypeError("rational functions are not hashable")
@@ -513,8 +450,7 @@ def _leading_sums(f: RatFun, values: list, target: FieldDescriptor) -> tuple:
 _PLAIN = frozenset("0123456789/")
 
 
-def _coeff_text(c: FieldElement) -> str:
-    s = str(c)
+def _coeff_text(s: str) -> str:
     body = s[1:] if s.startswith("-") else s
     if body and set(body) <= _PLAIN:
         return s
@@ -526,13 +462,24 @@ def _monomial_text(variables: tuple, key: tuple) -> str:
                     for v, e in zip(variables, key) if e)
 
 
-def format_poly(p: Poly) -> str:
-    if p.is_zero():
+def _is_one(p: dict) -> bool:
+    """p is the term dict of the constant 1 (a monic one-term sum is 1): the
+    den that `format_ratfun` leaves out."""
+    if len(p) != 1:
+        return False
+    (key, h), = p.items()
+    return not any(key) and len(h._t) == 1 and h._is_monic()
+
+
+def _format_terms(variables: tuple, terms: dict, show=_format_sum) -> str:
+    """The term dict as a sum of monomials, largest exponent tuple first;
+    `show` prints a coefficient."""
+    if not terms:
         return "0"
     chunks = []
-    for key in sorted(p.terms, reverse=True):
-        mono = _monomial_text(p.variables, key)
-        cs = _coeff_text(p.terms[key])
+    for key in sorted(terms, reverse=True):
+        mono = _monomial_text(variables, key)
+        cs = _coeff_text(show(terms[key]))
         text = cs if not mono else mono if cs == "1" else \
             f"-{mono}" if cs == "-1" else f"{cs}*{mono}"
         if chunks:
@@ -541,11 +488,16 @@ def format_poly(p: Poly) -> str:
     return "".join(chunks)
 
 
+def format_poly(p: Poly) -> str:
+    return _format_terms(p.variables, p.terms, str)
+
+
 def format_ratfun(f: RatFun) -> str:
-    num = format_poly(f.num)
-    if _is_one(f.den):
-        return num
-    return f"({num})/({format_poly(f.den)})"
+    num, den = f._terms
+    text = _format_terms(f.variables, num)
+    if _is_one(den):
+        return text
+    return f"({text})/({_format_terms(f.variables, den)})"
 
 
 # -- parsing --------------------------------------------------------------------

@@ -16,6 +16,12 @@ as `eval_place` did before it decided in integers: `leading()` of the two
 `_homogeneous` sums, `GroupElem.cmp` of the exponents and `QuadExt`
 division of the coefficients.
 
+`gauss_value_by_polys`: a Gauss place's value read from the Poly views
+`RatFun.num` and `.den`, as `places._gauss_value` did before it read the
+stored pair: each coefficient's `val()` and `leading_coeff()`, a residue
+Poly over the residue field per side, and the public `RatFun(num, den)`,
+which clears and normalises the pair.
+
 `parse_per_token`: the parser that builds a RatFun for every token and
 normalises after every operator, through the public RatFun arithmetic.
 `parse_ratfun` carries one unnormalised pair instead and is checked against
@@ -34,7 +40,7 @@ from typing import Optional, Sequence
 from rplaces.coeff import QuadExt
 from rplaces.ordfield import FieldDescriptor, lift
 from rplaces.places import PlaceValue
-from rplaces.ratfun import RatFun, RatFunSyntaxError, _homogeneous
+from rplaces.ratfun import Poly, RatFun, RatFunSyntaxError, _homogeneous
 
 
 def evaluate_per_term(p, assignment, target):
@@ -68,6 +74,31 @@ def place_value_by_objects(place, f) -> PlaceValue:
     if order > 0:
         return PlaceValue(QuadExt(0))
     return PlaceValue(cn / cd)
+
+
+def _residue_poly(p, shift, k) -> Poly:
+    """The residue of p * t^(-shift), where shift is the least value of a
+    coefficient: each coefficient of value shift gives its leading
+    coefficient, and every other one vanishes."""
+    return Poly(k, p.variables, {key: k.const(c.leading_coeff())
+                                 for key, c in p.terms.items()
+                                 if c.val().cmp(shift) == 0})
+
+
+def gauss_value_by_polys(k: FieldDescriptor, f: RatFun) -> PlaceValue:
+    """The value at f of the Gauss place with residue field k."""
+    num, den = f.num, f.den
+    if num.is_zero():
+        return PlaceValue(RatFun.const(k, f.variables, 0))
+    vn = min(c.val() for c in num.terms.values())
+    vd = min(c.val() for c in den.terms.values())
+    order = vn.cmp(vd)
+    if order > 0:
+        return PlaceValue(RatFun.const(k, f.variables, 0))
+    if order < 0:
+        return PlaceValue.infinite()
+    return PlaceValue(RatFun(_residue_poly(num, vn, k),
+                             _residue_poly(den, vd, k)))
 
 
 class _PerTokenParser:

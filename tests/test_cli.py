@@ -230,6 +230,22 @@ class TestDefObjects:
         out = ok(sess, "def-place RL = realized over Q0 in Q1 x = tau")
         assert out["realization"] == {"x": "t^(1)"}
 
+    def test_gauss_residue_field_must_hold_the_coefficients(self):
+        # refused at definition: with the place, every eval of a sqrt(2)
+        # coefficient would fail
+        sess = Session()
+        for line in ("def-field F = hahn sqrt 2 lex 1",
+                     "def-field K = hahn rational lex 0",
+                     "def-field K2 = hahn sqrt 2 lex 0",
+                     "def-elem two in K = 2", "def-cut CP in K = two+",
+                     "def-place ZP = from-cut CP var y"):
+            ok(sess, line)
+        assert code(sess, "def-place G = gauss F var y res K") == "domain"
+        assert code(sess, "def-place X = constext ZP over F") == "domain"
+        assert "G" not in sess.places and "X" not in sess.places
+        ok(sess, "def-place G2 = gauss F var y res K2")
+        assert ok(sess, "eval G2 sqrt(2)*y + t^(1)")["value"] == "(sqrt(2))*y"
+
     def test_stacked_order_clause(self):
         sess = session()
         out = ok(sess, "def-place S1 = stacked in Q0 x = 0; y = 0; order y,x")

@@ -9,7 +9,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratfun_reference import evaluate_per_term, place_value_by_objects
+from ratfun_reference import (evaluate_per_term, gauss_value_by_polys,
+                              place_value_by_objects)
 import rplaces.cuts as cuts_module
 import rplaces.places as places_module
 import rplaces.ratfun as ratfun_module
@@ -410,6 +411,26 @@ class TestGaussPlaces:
         with pytest.raises(ValueError):
             harrison(G, rf("y + 1", F))
 
+    def test_residue_field_holds_the_coefficients(self):
+        # a residue field without sqrt(2) cannot hold the leading
+        # coefficients of a field with it: refused when the place is made
+        R, F, _ = sqrt2_pair()
+        k, k2 = constants("k"), FieldDescriptor("k2", 2, ValueGroup(LEX, 0))
+        with pytest.raises(ValueError, match="lacks the coefficients"):
+            gauss_extension(F, residue_field=k)
+        G = gauss_extension(F, residue_field=k2)
+        assert str(eval_place(G, rf("sqrt(2)*y + t^(1)", F))) == \
+            "(sqrt(2))*y"
+        assert gauss_extension(R, residue_field=k2).field is k2
+        zeta = place_from_cut(cut_principal(k.const(2), UPPER))
+        with pytest.raises(ValueError, match="lacks the coefficients"):
+            constant_ext_embed(zeta, F)
+        zeta2 = place_from_cut(cut_principal(k2.const(SQRT2), UPPER))
+        ext = constant_ext_embed(zeta2, F)
+        assert str(eval_place(ext, rf("sqrt(2)*y + t^(1)", F))) == "2"
+        assert str(eval_place(constant_ext_embed(zeta2, R),
+                              rf("y + t^(1)", R))) == "sqrt(2)"
+
 
 class TestConstantExtension:
     def test_two_stage_values(self):
@@ -466,28 +487,31 @@ class TestRationalCompose:
 
     @staticmethod
     def substitution_value(f, var, a, zeta):
-        """Independent oracle: expand num and den in powers of (var - a),
-        cancel the common vanishing order, then take the residue of the
-        ratio of lowest terms.  None stands for infinity."""
+        """Independent oracle: expand num and den in powers of u = var - a
+        by the binomial theorem, c * (u + a)^k = sum over j of C(k, j) * c *
+        a^(k - j) * u^j, in FieldElement arithmetic; cancel the common
+        vanishing order, then take the residue of the ratio of lowest
+        terms.  None stands for infinity."""
         F = f.field
-        base = Poly.var(F, (var,), var) + Poly.const(F, (var,), a)
 
         def shift(p):
-            out = Poly.const(F, (var,), 0)
-            for key, c in p.terms.items():
-                out = out + (base ** key[0]) * c
-            return out
+            out = {}
+            for (k,), c in p.terms.items():
+                for j in range(k + 1):
+                    out[j] = out.get(j, F.zero()) + \
+                        c * math.comb(k, j) * a ** (k - j)
+            return {j: c for j, c in out.items() if not c.is_zero()}
 
         num, den = shift(f.num), shift(f.den)
-        md = min(k[0] for k in den.terms)
-        if num.is_zero():
+        md = min(den)
+        if not num:
             return zeta.eval(F.zero())
-        mn = min(k[0] for k in num.terms)
+        mn = min(num)
         if mn > md:
             return zeta.eval(F.zero())
         if mn < md:
             return None
-        return zeta.eval(num.terms[(mn,)] / den.terms[(md,)])
+        return zeta.eval(num[mn] / den[md])
 
     def test_pullback_membership(self):
         F = rational_field("K")
@@ -892,6 +916,103 @@ class TestIntegerFinish:
         for y in values:
             self.check(realized_place(R, {"y": y}), fs, seen)
         assert {"den scale", "only N", "only M"} <= seen
+
+
+def gauss_setting(kind):
+    """(F, S, k): a base field, a declared subfield of it with a smaller
+    group or coefficient field, and a residue field holding F's
+    coefficients."""
+    if kind == "Q":
+        F = rational_field("F")
+        return F, F.subfield("S"), constants("k")
+    if kind == "Q(sqrt 2)":
+        F = rational_field("F0").extend_coeff("F", 2)
+        return F, F.subfield("S", coeff_d=None), \
+            FieldDescriptor("k", 2, ValueGroup(LEX, 0))
+    F = FieldDescriptor("F", None, ValueGroup(LEX, 2))
+    return F, F.subfield("S", (1,)), constants("k")
+
+
+def element_of(X, rng):
+    """A nonzero element of X: a monomial, a sum of two, or a quotient, so
+    that coefficients may have denominators."""
+    def mono():
+        g = X.group.elem(*(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                           for _ in range(X.group.rank)))
+        c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+        if X.coeff_d is not None and rng.randrange(2):
+            c = QuadExt(c, rng.randint(1, 2), X.coeff_d)
+        return X.monomial(g, c)
+    x = mono()
+    kind = rng.randrange(3)
+    if kind:
+        y = mono() + mono()
+        x = y if kind == 1 or y.is_zero() else (X.one() + mono()) / y
+    return X.one() if x.is_zero() else x
+
+
+def function_of(X, rng):
+    """A nonzero function of y over X."""
+    while True:
+        num, den = [Poly(X, ("y",), {(rng.randint(0, 3),): element_of(X, rng)
+                                     for _ in range(rng.randint(1, 3))})
+                    for _ in range(2)]
+        if not num.is_zero() and not den.is_zero():
+            return RatFun(num, den)
+
+
+class TestGaussFromStoredPair:
+    """`eval_place` at Gauss and constant-extension places reads the stored
+    pair; `gauss_value_by_polys` reads the Poly views, as the library
+    once did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["Q", "Q(sqrt 2)",
+                                                      "lex 2"]),
+           st.booleans())
+    def test_values_match_the_view_route(self, seed, kind, sub):
+        rng = random.Random(seed)
+        F, S, k = gauss_setting(kind)
+        X = S if sub else F
+        G = gauss_extension(F, "y", k)
+        center = k.const(QuadExt(rng.randint(-2, 2), rng.randint(0, 1),
+                                 k.coeff_d) if k.coeff_d else
+                         rng.randint(-2, 2))
+        zeta = place_from_cut(cut_principal(center,
+                                            rng.choice((LOWER, UPPER))))
+        ext = constant_ext_embed(zeta, F)
+        f = function_of(X, rng)
+        # f times t^(v(den) - v(num)), the least values of a coefficient,
+        # has a finite nonzero Gauss value; one more t^(+-1) gives 0 or inf
+        least = [min(c.val() for c in p.terms.values()) for p in (f.num,
+                                                                f.den)]
+        m = X.monomial(least[1] - least[0])
+        g = X.monomial(X.group.elem(1, *[0] * (X.group.rank - 1)))
+        fs = [RatFun.const(X, ("y",), 0), f * m, f * m * g, f * m / g, f]
+        calls = Counter()
+        real = RatFun._polys
+
+        def counted(self):
+            calls["views"] += 1
+            return real(self)
+        with mock.patch.object(RatFun, "_polys", counted):
+            got = [(eval_place(G, h), eval_place(ext, h)) for h in fs]
+            texts = [(str(gv), str(ev)) for gv, ev in got]
+        assert calls["views"] == 0
+        kinds = Counter()
+        for h, (gv, _), (gs, es) in zip(fs, got, texts):
+            want = gauss_value_by_polys(k, h)
+            assert gs == str(want)
+            if want.is_finite():
+                assert gv.value.field is k and gv.value.variables == ("y",)
+                assert gv.value._terms == want.value._terms
+                want = eval_place(zeta, want.value)
+            else:
+                assert gv.is_infinite()
+            assert es == str(want)
+            kinds[outcome(gv)] += 1
+        assert kinds["zero"] >= 2 and kinds["inf"] >= 1 and \
+            kinds["finite"] >= 1
 
 
 class TestSeparatingSearch:
