@@ -284,20 +284,21 @@ class HahnSum:
 
     @staticmethod
     def const(group: ValueGroup, c: QuadExt) -> "HahnSum":
-        return _unit(group).scale(c)
+        return _monomial(group, (0,) * group.rank, 1, c)
 
     @staticmethod
     def one(group: ValueGroup) -> "HahnSum":
-        return _unit(group)
+        return _sum(group, 1, 1, None, {(0,) * group.rank: 1})
 
     @staticmethod
     def _int(group: ValueGroup, k: int) -> "HahnSum":
-        """The stored form of the integer k, built without a scaling."""
+        """The stored form of the integer k, built without a QuadExt."""
         return _sum(group, 1, 1, None, {(0,) * group.rank: k} if k else {})
 
     @staticmethod
     def monomial(group: ValueGroup, g: GroupElem, c: QuadExt) -> "HahnSum":
-        return _unit(group).scale(c).shift(g)
+        m = math.lcm(*(x.denominator for x in g.coords))
+        return _monomial(group, _int_coords(g.coords, m), m, c)
 
     def is_zero(self) -> bool:
         return not self._t
@@ -637,8 +638,14 @@ def _embed_key(k: tuple, rank: int, mask: tuple) -> tuple:
     return tuple(key)
 
 
-def _unit(group: ValueGroup) -> HahnSum:
-    return _sum(group, 1, 1, None, {(0,) * group.rank: 1})
+def _monomial(group: ValueGroup, key: tuple, m: int, c: QuadExt) -> HahnSum:
+    """c = a + b*sqrt(d) times t^(key/m), stored from the numerators of a*q
+    and b*q for q = lcm(den(a), den(b)), whose gcd with q is already 1."""
+    q = math.lcm(c.a.denominator, c.b.denominator)
+    a, b = (x.numerator * (q // x.denominator) for x in (c.a, c.b))
+    if b:
+        return _sum(group, m, q, c.d, {key: (a, b)})
+    return _sum(group, m, q, None, {key: a}) if a else HahnSum.zero(group)
 
 
 def _int_coords(coords, n: int) -> tuple:
@@ -775,8 +782,10 @@ class FieldElement(Ordered):
         return (x.num * y.den - y.num * x.den)._lead_sign()
 
     def __eq__(self, other) -> bool:
-        """Equality in the field.  If neither field embeds in the other, cmp
-        raises FieldMismatchError and == falls back to identity (False)."""
+        """Equality in the field; False for a number outside the field and,
+        by identity, for an element of an unrelated field."""
+        if isinstance(other, QuadExt) and not self.field.admits_coeff(other):
+            return False
         try:
             return self.cmp(other) == 0
         except (TypeError, FieldMismatchError):

@@ -120,7 +120,7 @@ class RPlace:
     """
 
     __slots__ = ("kind", "base", "variables", "field", "realization",
-                 "inner", "provenance")
+                 "inner", "provenance", "_value_leads")
 
     def __init__(self, kind: str, base: FieldDescriptor,
                  variables: tuple, field: FieldDescriptor,
@@ -134,6 +134,8 @@ class RPlace:
         self.realization = realization
         self.inner = inner
         self.provenance = provenance
+        # the memo of `ratfun._leading_sums`, filled by eval_place
+        self._value_leads = {}
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "base": self.base.name,
@@ -241,9 +243,10 @@ def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
     At a realized place f(values) = N/M for the two plain sums that
     substitution over one common denominator gives, and the residue is read
     from their leading terms alone: v(N/M) is v(N) - v(M), and the leading
-    coefficient is N's over M's.  `ratfun._leading_sums` gives those terms
-    as stored integers, building a sum only when its leading monomials
-    cancel; the exponent order and the quotient are decided in integers."""
+    coefficient is N's over M's.  `ratfun._leading_sums` reads those terms
+    in integers, from f's memo per (scale, group rank, mask) and the
+    place's per (variables, scale), which never go stale, as neither
+    changes; it builds a sum only when its leading monomials cancel."""
     if place.kind == "gauss":
         return _gauss_value(place.base, place.field, place.variables[0], f)
     if place.kind == "composed":
@@ -255,7 +258,8 @@ def eval_place(place: RPlace, f: RatFun) -> PlaceValue:
     if missing:
         raise ValueError(f"place does not assign {missing[0]!r}")
     top, bottom = _leading_sums(
-        f, [place.realization[v] for v in f.variables], place.field)
+        f, [place.realization[v] for v in f.variables], place.field,
+        place._value_leads)
     if bottom is None:
         if top is None:
             raise ArithmeticError("0/0: the function is indeterminate "

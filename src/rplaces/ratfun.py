@@ -16,7 +16,9 @@ denominators out of it (`_cleared`), and the read view `RatFun.num` and
 arithmetic.  Substitution makes num and den two plain sums over one common
 denominator (`_homogeneous`), whose quotient is the value; a zero den sum
 is a pole.  A place reads only their leading terms, in integers
-(`_leading_sums`).
+(`_leading_sums`), from those of the coefficients, memoised in the RatFun
+per (scale, group rank, mask), and of the values, memoised in the place
+per (variables, scale): neither changes, so neither memo goes stale.
 
 Invariant: term dicts map int exponent tuples, one entry per variable, to
 nonzero coefficients.  The public constructors check and convert their
@@ -53,6 +55,7 @@ class PoleMarker:
 
 
 POLE = PoleMarker()
+_ONE = QuadExt(1)
 
 
 def _as_element(field: FieldDescriptor, c) -> FieldElement:
@@ -209,15 +212,15 @@ class RatFun:
     docstring.  `num` and `den` are Poly views of the pair, built on first
     read and kept; the RatFun itself never changes."""
 
-    __slots__ = ("field", "variables", "_terms", "_views")
+    __slots__ = ("field", "variables", "_terms", "_views", "_leads")
 
     def __init__(self, num: Poly, den: Poly):
         if den.field is not num.field or den.variables != num.variables:
             raise FieldMismatchError("polynomials over different settings")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self.field, self.variables, self._views = \
-            num.field, num.variables, None
+        self.field, self.variables, self._views, self._leads = \
+            num.field, num.variables, None, None
         self._terms = _normal(_cleared(num, den), self._one())
 
     @staticmethod
@@ -341,7 +344,8 @@ class RatFun:
 def _ratfun(field: FieldDescriptor, variables: tuple, x: tuple) -> RatFun:
     """A RatFun from a pair already in normal form, taken as it is."""
     f = object.__new__(RatFun)
-    f.field, f.variables, f._terms, f._views = field, variables, x, None
+    f.field, f.variables, f._terms = field, variables, x
+    f._views = f._leads = None
     return f
 
 
@@ -395,26 +399,39 @@ def _homogeneous(f: RatFun, values: list,
     return total(f._terms[0]), total(f._terms[1])
 
 
-def _leading_sums(f: RatFun, values: list, target: FieldDescriptor) -> tuple:
+def _leading_sums(f: RatFun, values: list, target: FieldDescriptor,
+                  memo: Optional[dict] = None) -> tuple:
     """The leading terms of the `_homogeneous` sums N and M as `_lead`
     triples (key, (x, y), q) at one scale, None for a zero sum, read in
     integers: c_k * prod n_i^k_i * d_i^(D_i - k_i) leads with lead(c_k) *
     prod lead(n_i)^k_i (a canonical d_i leads with 1), or is 0 if a k_i > 0
     falls on a value 0.  If the least of these cancel in one sum, that sum
-    alone is built, and both triples move to a scale that covers it."""
+    alone is built, and both triples move to a scale that covers it.  f's
+    `_leads` holds its coefficient scales' lcm and their `_lead` triples per
+    (scale, rank of target's group, mask), all that `_lead` reads; `memo`, a
+    place's, holds the first powers lead(n_i) (None for 0) per (f.variables,
+    scale).  Neither goes stale: f and the values never change."""
     mask, values = _prepared(f, values, target)
     group, d = target.group, target.coeff_d
     times = partial(_mono_mul, d=d or 0)
-    scale = math.lcm(*{h._n for p in f._terms for h in p.values()},
-                     *{v.num._n for v in values})
-    # powers of lead(n_i), tabled on demand; None for a value 0
-    tables = [[v.num._lead(scale, group)] if v.num._t else None
-              for v in values]
+    if f._leads is None:
+        f._leads = math.lcm(*{h._n for p in f._terms for h in p.values()}), {}
+    scale = math.lcm(f._leads[0], *{v.num._n for v in values})
+    leads = f._leads[1].get((scale, group.rank, mask))
+    if leads is None:
+        leads = f._leads[1][scale, group.rank, mask] = [[
+            (exps, h._lead(scale, group, mask)) for exps, h in p.items()]
+            for p in f._terms]
+    memo = {} if memo is None else memo
+    firsts = memo.get((f.variables, scale))
+    if firsts is None:
+        firsts = memo[f.variables, scale] = [
+            v.num._lead(scale, group) if v.num._t else None for v in values]
+    tables = [m and [m] for m in firsts]
     out, full = [], None
-    for p in f._terms:
+    for p, terms in zip(f._terms, leads):
         cands = []
-        for exps, h in p.items():
-            m = h._lead(scale, group, mask)
+        for exps, m in terms:
             for table, e in zip(tables, exps):
                 if e and table is None:
                     break
@@ -655,7 +672,7 @@ class _Parser:
 
     def monomial(self, coords: list) -> tuple:
         group = self.field.group
-        return self.const(HahnSum.one(group).shift(group.elem(*coords)))
+        return self.const(HahnSum.monomial(group, group.elem(*coords), _ONE))
 
     def hahn_monomial(self) -> tuple:
         for kind in ("name", "^", "("):

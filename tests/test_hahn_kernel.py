@@ -265,3 +265,30 @@ def test_terms_view_reads_as_the_converted_dict(case):
         assert view.get(missing) is None and view.get(missing, 0) == 0
     assert repr(view) == repr(dict(view))
     assert repr(x) == f"HahnSum({dict(view)!r})"
+
+
+@st.composite
+def monomial_cases(draw):
+    """(group, c, g) over Q, Q(sqrt 2) or Q(sqrt 3), rank 0, lex 1-2 or
+    weighted groups, with c zero, an integer, a rational or a surd."""
+    group = draw(st.sampled_from(GROUPS[:3] + GROUPS[4:]))
+    d = draw(st.sampled_from((None, 2, 3)))
+    kind = draw(st.sampled_from(("zero", "integer", "rational", "surd")))
+    a = draw(st.integers(-9, 9).filter(bool) if kind == "integer"
+             else rationals)
+    b = draw(rationals.filter(bool)) if kind == "surd" and d else 0
+    c = QuadExt(0) if kind == "zero" else QuadExt(a, b, d)
+    return group, c, group.elem(draw(st.tuples(*[coords] * group.rank)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_cases())
+def test_const_and_monomial_store_what_scale_and_shift_give(case):
+    """HahnSum.const and monomial build c and c * t^g in one step, stored
+    as one(g).scale(c).shift(g) stores them."""
+    group, c, g = case
+    scaled = HahnSum.one(group).scale(c)
+    for got, want in ((HahnSum.const(group, c), scaled),
+                      (HahnSum.monomial(group, g, c), scaled.shift(g))):
+        assert stored(got) == stored(want)
+        check_stored_form(got)

@@ -187,6 +187,23 @@ class TestCoercionAndLifting:
         with pytest.raises(FieldMismatchError):
             a < b
 
+    def test_equality_with_a_number_outside_the_field_is_false(self):
+        """== is False and != True for a number the field does not admit,
+        on either side; the order still refuses it."""
+        R = rank1_field("R")
+        R2 = R.extend_coeff("R2", 2)
+        for x, c in ((R.const(2), QuadExt.sqrt(2)),
+                     (R.zero(), QuadExt.sqrt(2)),
+                     (R2.const(QuadExt.sqrt(2)), QuadExt.sqrt(3))):
+            assert not x == c and not c == x
+            assert x != c and c != x
+            with pytest.raises(ValueError):
+                x.cmp(c)
+            with pytest.raises(ValueError):
+                x < c
+        assert R2.const(QuadExt.sqrt(2)) == QuadExt.sqrt(2)
+        assert R2.const(2) == 2 and R.const(2) == QuadExt(2)
+
     @pytest.mark.parametrize("d", [4, 1, 0, -3, 10 ** 12 + 39])
     def test_radicand_checked_when_the_field_is_declared(self, d):
         with pytest.raises(ValueError):

@@ -18,7 +18,8 @@ from rplaces.coeff import QuadExt
 from rplaces.valgroup import LEX, LOWER, UPPER, WEIGHTED, ValueGroup
 from rplaces.ordfield import INF, FieldDescriptor, FieldMismatchError, lift
 from rplaces.ratfun import (POLE, Poly, RatFun, _homogeneous, _leading_sums,
-                            _substitution, format_ratfun, parse_ratfun)
+                            _ratfun, _substitution, format_ratfun,
+                            parse_ratfun)
 from rplaces.balls import Ball
 from rplaces.cuts import (cut_cmp, cut_edge, cut_filler, cut_minus_inf,
                           cut_plus_inf, cut_principal, equivalent)
@@ -738,18 +739,23 @@ class TestLeadingSums:
         built = [self.check(f, [a, b], F) for f in cancelling]
         assert built[0] == 1 and all(built)  # X - ra cancels in N alone
 
-    def test_cut_places(self):
-        R, R2, rt2 = sqrt2_pair()
+    TEXTS = ("y", "1/y", "y - 2", "1/(y - 2)", "y^2 - 2", "1/(y^2 - 2)",
+             "(y^2 - 2)/(y - 2)", "t^(3)/y", "(y^3 + t^(1))/(y^2 + 3)")
+
+    @staticmethod
+    def cuts(R, rt2) -> list:
         B = Ball(R, R.zero(), R.group.seg_above(R.group.elem(2)))
-        cuts = [cut_edge(B, LOWER), cut_edge(B, UPPER),
+        return [cut_edge(B, LOWER), cut_edge(B, UPPER),
                 cut_principal(R.const(2), UPPER), cut_filler(rt2, UPPER, R),
                 cut_filler(rt2 + 3, LOWER, R), cut_plus_inf(R),
                 cut_minus_inf(R)]
-        texts = ("y", "1/y", "y - 2", "1/(y - 2)", "y^2 - 2", "1/(y^2 - 2)",
-                 "(y^2 - 2)/(y - 2)", "t^(3)/y", "(y^3 + t^(1))/(y^2 + 3)")
+
+    def test_cut_places(self):
+        R, R2, rt2 = sqrt2_pair()
+        texts = self.TEXTS
         rng = random.Random(7)
         built = 0
-        for C in cuts:
+        for C in self.cuts(R, rt2):
             P = place_from_cut(C)
             fs = [rf(text, R) for text in texts]
             fs += [random_ratfun(rng, R, ("y",)) for _ in range(8)]
@@ -800,6 +806,90 @@ class TestLeadingSums:
         calls.clear()
         assert eval_place(P, rf("y^2 - 2", R)).is_zero()
         assert calls == {"mask": 1, "built": 1}
+
+
+def cold_eval(place, f):
+    """eval_place with cold memos: on a new RPlace and a new RatFun that
+    hold the data of `place` and f."""
+    fresh = RPlace(place.kind, place.base, place.variables, place.field,
+                   dict(place.realization), place.inner, place.provenance)
+    return eval_place(fresh, _ratfun(f.field, f.variables, f._terms))
+
+
+class TestLeadMemos:
+    """eval_place reads the leading terms of f's coefficients from a memo
+    in f, per (scale, group rank, mask), and those of the place's values
+    from a memo in the place, per (variables, scale).  Every function is
+    evaluated at every place twice, in shuffled order, so most reads are
+    warm, and each value must equal a cold evaluation and
+    `place_value_by_objects`, the value from the full sums."""
+
+    @staticmethod
+    def check(places, fs, seed) -> None:
+        calls = [(P, f) for P in places for f in fs] * 2
+        random.Random(seed).shuffle(calls)
+        for P, f in calls:
+            try:
+                want = place_value_by_objects(P, f)
+            except ArithmeticError:
+                for run in (eval_place, cold_eval):
+                    with pytest.raises(ArithmeticError):
+                        run(P, f)
+                continue
+            for got in (eval_place(P, f), cold_eval(P, f)):
+                assert got == want and str(got) == str(want)
+                if got.is_finite():
+                    assert (got.value.a, got.value.b, got.value.d) == \
+                        (want.value.a, want.value.b, want.value.d)
+
+    def test_cut_places(self):
+        """One field's functions at places whose fields share a group rank
+        but embed it by different masks, and whose values have exponent
+        scales 1 and 6, with coefficients at scales 1, 2, 3 and 6."""
+        R, R2, rt2 = sqrt2_pair()
+        g = R.group.elem
+        B = Ball(R, R.monomial(g(Fraction(1, 3))), R.group.seg_above(
+            g(Fraction(1, 2))))
+        cuts = TestLeadingSums.cuts(R, rt2) + [cut_edge(B, LOWER),
+                                               cut_edge(B, UPPER)]
+        places = [place_from_cut(C) for C in cuts]
+        assert {R.embedding_mask_into(P.field) for P in places} == \
+            {(0,), (1,)}
+        texts = TestLeadingSums.TEXTS + (
+            "t^(1/2)*y + 1", "(y^2 + t^(1/3))/(y - t^(1/2))", "y^3 - t^(1)",
+            "1/(t^(1/2)*y^2 - t^(1/6)*y)",
+            # a memo keyed without the scale misreads this one whichever
+            # of scales 2 and 6 fills it first
+            "(t^(1/2)*y + y^2)/(y^2 + t^(5/2))")
+        rng = random.Random(11)
+        fs = [rf(text, R) for text in texts] + \
+            [random_ratfun(rng, R, ("y",)) for _ in range(6)]
+        self.check(places, fs, 1)
+
+    @pytest.mark.parametrize("kind", ["sqrt 2", "lex 2", "weighted"])
+    def test_quotient_realizations(self, kind):
+        base, F, (a, b) = TestQuotientRealizations.setting(kind)
+        places = [realized_place(base, {"x": x, "y": y})
+                  for x, y in ((a, b), (F.zero(), b), (a, F.zero()))]
+        X = RatFun.var(base, ("x", "y"), "x")
+        Y = RatFun.var(base, ("x", "y"), "y")
+        ra, rb = base.const(a.residue()), base.const(b.residue())
+        rng = random.Random(23)
+        fs = [random_ratfun(rng, base, ("x", "y")) for _ in range(4)]
+        fs += [X - ra, (X - ra + (Y - rb) ** 2) / (X - ra), X * Y + 1,
+               (Y - rb) ** 2 / (X - ra), 1 / X]
+        self.check(places, fs, 2)
+
+    def test_place_memo_keeps_first_powers_only(self):
+        R = rational_field()
+        B = Ball(R, R.const(1), R.group.seg_above(R.group.elem(1)))
+        P = place_from_cut(cut_edge(B, UPPER))
+        f = RatFun.var(R, ("y",), "y") ** 50 + 1
+        assert eval_place(P, f) == place_value_by_objects(P, f)
+        assert P._value_leads
+        for (variables, scale), leads in P._value_leads.items():
+            assert leads == [P.realization[v].num._lead(scale, P.field.group)
+                             for v in variables]
 
 
 class TestIntegerFinish:
